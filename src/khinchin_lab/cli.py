@@ -10,6 +10,7 @@ output.  KHINCHIN_LAB_THREADS caps the worker pool.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -406,7 +407,10 @@ def _add_common(sp, fmt_default="json"):
                     help="cap on integrand evaluations and enumeration atoms")
 
 
-def build_config(argv) -> RunConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="khinchin-lab",
         description="verify moment-comparison inequalities for weighted sums "
@@ -425,7 +429,11 @@ def build_config(argv) -> RunConfig:
         if name == "sweep":
             sp.add_argument("--s-min", dest="s_min", type=float, default=1.0)
             sp.add_argument("--s-max", dest="s_max", type=float, default=20.0)
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def build_config(argv) -> RunConfig:
+    ns = _parser().parse_args(argv)
 
     params: dict = {
         "rho0": _parse_rational(ns.rho0, "rho0"),

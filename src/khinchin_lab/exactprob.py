@@ -422,6 +422,21 @@ def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SumLaw:
             f"projected support of {projected} atoms exceeds the guard of {max_atoms}"
         )
 
+    if width > max_atoms:
+        # The dense grid would outgrow the guard while the support does not:
+        # merge offsets in a dict, which never holds more entries than the
+        # product of the atom counts that the guard checked.
+        sparse = {0: 1}
+        for offs, nums, _ in kernels:
+            merged: dict[int, int] = {}
+            for x, c in sparse.items():
+                for o, num in zip(offs, nums):
+                    merged[x + o] = merged.get(x + o, 0) + c * num
+            sparse = merged
+        int_values = sorted(x for x, c in sparse.items() if c)
+        mass_nums = [sparse[x] for x in int_values]
+        return SumLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
+
     use_int64 = mass_den <= _INT64_SAFE
     dtype = np.int64 if use_int64 else object
     acc = np.zeros(1, dtype=dtype)

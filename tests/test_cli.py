@@ -115,6 +115,17 @@ def test_verify_all_battery(capsys):
     assert all(r["pass"] for r in reports)
 
 
+def test_verify_power_floor_fails_on_unconverged_integrals(capsys):
+    code, out, err = run_cli(capsys, "verify", "--claim", "power-floor",
+                             "--rho0", "1/2", "--L", "2", "--tol", "1e-12")
+    obj = json.loads(out)
+    assert code == 1
+    assert "charfn-power-floor" in err
+    assert obj["pass"] is False
+    assert not all(row["converged"] for row in obj["witness"]["rows"])
+    assert all(row["abs_error"] > 0 for row in obj["witness"]["rows"])
+
+
 def test_verify_comparison_needs_no_zero_mass(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "comparison", "--rho0", "1/2")
     assert code == 2 and "error:" in err
@@ -216,6 +227,24 @@ def test_byte_identical_across_thread_counts():
     again = _run_subprocess(args, threads=2)
     assert one.returncode == two.returncode == again.returncode == 0
     assert one.stdout == two.stdout == again.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # one process, one parser: no value may carry over from call to call
+    runs = [
+        ["constants", "--rho0", "1/3", "--L", "2", "--n", "3"],
+        ["constants", "--format", "csv"],
+        ["verify", "--claim", "two-point", "--a", "1/3", "--format", "csv"],
+        ["verify", "--claim", "two-point"],
+        ["sweep", "--rho0", "1/2", "--n", "3", "--s-max", "3", "--tol", "1e-6"],
+        ["verify", "--L", "0"],
+    ]
+    for args in runs:
+        code, out, err = run_cli(capsys, *args)
+        fresh = _run_subprocess(args)
+        assert code == fresh.returncode, args
+        assert out.encode() == fresh.stdout, args
+        assert err.encode() == fresh.stderr, args
 
 
 def test_no_subcommand_exits_two():

@@ -168,6 +168,26 @@ def test_support_guard():
         convolve_weighted([law] * 3, [1.0, 1.0, 1.0], max_atoms=10)
 
 
+def test_wide_sparse_grid_merges_without_dense_allocation():
+    # the dense grid would span ~6e10 cells for 27 atoms
+    law = make_step_law(StepLawParams(Fraction(1, 2), 1))
+    weights = [Fraction(1, 100003), Fraction(1, 100019), Fraction(1, 100043)]
+    s = convolve_weighted([law] * 3, weights)
+    expected = oracles.enum_distribution(weights, [oracles.step_atoms(Fraction(1, 2), 1)] * 3)
+    assert len(s.atoms) == 27
+    assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+
+
+def test_sparse_merge_matches_dense_grid():
+    # width 623 > max_atoms 100 >= support 27 takes the sparse merge
+    law = make_step_law(StepLawParams(Fraction(1, 2), 1))
+    weights = [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)]
+    sparse = convolve_weighted([law] * 3, weights, max_atoms=100)
+    dense = convolve_weighted([law] * 3, weights)
+    assert sparse.atoms == dense.atoms
+    assert abs_moment(sparse, 3).exact == abs_moment(dense, 3).exact
+
+
 def test_mismatched_lengths_rejected():
     law = make_step_law(StepLawParams(Fraction(0), 1))
     with pytest.raises(ValueError):

@@ -196,6 +196,17 @@ def test_concavity_small_grids():
     assert rep.passed
 
 
+def test_concavity_fails_on_unconverged_integrals():
+    grid = [Fraction(1, 2), Fraction(5, 8), Fraction(3, 4)]
+    assert concavity_in_zero_mass(2, 3.0, grid, tol=1e-8).passed
+    rep = concavity_in_zero_mass(2, 3.0, grid, tol=1e-12)
+    assert not rep.passed
+    rows = rep.witness["rows"]
+    assert [row["rho"] for row in rows] == grid
+    assert not any(row["converged"] for row in rows)
+    assert all(row["abs_error"] > 1e-12 * row["value"] for row in rows)
+
+
 def test_concavity_grid_validation():
     with pytest.raises(ValueError):
         concavity_in_zero_mass(1, 2.0, [Fraction(1, 2), Fraction(3, 5)])

@@ -1,14 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from khinchin_lab.exactprob import StepLawParams, make_step_law
+from khinchin_lab.haagerup import CHARFN_BLOCK, CharFn
 from khinchin_lab.quadrature import (
+    PANEL_CHUNK,
     QuadratureError,
+    _GAUSS_W,
+    _KRONROD_W,
+    _KRONROD_X,
+    _gk15,
+    _VecFn,
     integrate_adaptive,
     integrate_khinchin_tail,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_polynomial_exact():
@@ -54,6 +65,111 @@ def test_scalar_only_integrand():
         return float(1.0 - x)
     res = integrate_adaptive(f, 0.0, 1.0, tol=1e-10, breakpoints=(0.5,))
     assert abs(res.value - 0.25) < 1e-10
+
+
+def _gk15_error(diff, resasc, resabs):
+    """QUADPACK's error estimate from |Kronrod - Gauss|, resasc and resabs."""
+    if resasc > 0.0 and diff > 0.0:
+        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+    else:
+        err = diff
+    return max(err, 50.0 * EPS * resabs)
+
+
+def _gk15_reference(f, a, b):
+    """One QUADPACK (7, 15) panel: one integrand call on its 15 nodes, then
+    the sums in Python floats.  Returns (value, diff, resasc, resabs)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    ys = f(mid + half * _KRONROD_X).tolist()
+    wk, wg = _KRONROD_W.tolist(), _GAUSS_W.tolist()
+    val_k = half * sum(w * y for w, y in zip(wk, ys))
+    val_g = half * sum(w * y for w, y in zip(wg, ys[1::2]))
+    resabs = half * sum(w * abs(y) for w, y in zip(wk, ys))
+    mean = val_k / (b - a)
+    resasc = half * sum(w * abs(y - mean) for w, y in zip(wk, ys))
+    return val_k, abs(val_k - val_g), resasc, resabs
+
+
+def _charfn_integrand():
+    phi = CharFn.from_law(make_step_law(StepLawParams(Fraction(1, 3), 3)))
+    weights = (1.0, math.sqrt(2.0), 0.3)
+
+    def f(ts):
+        acc = np.ones_like(ts)
+        for a in weights:
+            acc = acc * phi(a * ts)
+        return (1.0 - acc) / ts**2
+    return f
+
+
+def test_batched_panels_match_per_panel_reference():
+    f = _charfn_integrand()
+    ends = np.linspace(1e-3, 150.0, 3001)
+    lefts, rights = ends[:-1], ends[1:]
+    fn = _VecFn(f)
+    chunks = [_gk15(fn, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
+              for i in range(0, lefts.size, PANEL_CHUNK)]
+    vals = np.concatenate([v for v, _ in chunks])
+    errs = np.concatenate([e for _, e in chunks])
+    ref = [_gk15_reference(f, a, b) for a, b in zip(lefts.tolist(), rights.tolist())]
+    ref_val = np.array([r[0] for r in ref])
+    # Either order of summing 15 terms is within 15 eps * sum|terms| of the
+    # exact sum, so the two orders differ by at most 32 eps * resabs, and
+    # |Kronrod - Gauss| by twice that.  The error estimate grows with that
+    # difference, so it lies between its values at the two ends of the
+    # difference's range, up to a few ulps from resasc and resabs.
+    value_tol = 32.0 * EPS * np.array([r[3] for r in ref])
+    err_lo = np.array([_gk15_error(max(d - 2 * t, 0.0), ra, rb)
+                       for (_, d, ra, rb), t in zip(ref, value_tol)])
+    err_hi = np.array([_gk15_error(d + 2 * t, ra, rb)
+                       for (_, d, ra, rb), t in zip(ref, value_tol)])
+    assert np.all(np.abs(vals - ref_val) <= value_tol)
+    assert np.all(errs >= err_lo * (1.0 - 8.0 * EPS))
+    assert np.all(errs <= err_hi * (1.0 + 8.0 * EPS))
+
+    n = lefts.size
+    res = integrate_adaptive(f, 1e-3, 150.0, tol=1e-6, breakpoints=ends[1:-1])
+    assert res.evaluations == 15 * n  # the seed panels meet tol
+    # the sums of n terms add at most n eps times their size
+    assert abs(res.value - ref_val.sum()) <= value_tol.sum() + n * EPS * np.abs(ref_val).sum()
+    assert err_lo.sum() * (1.0 - n * EPS) <= res.abs_error <= err_hi.sum() * (1.0 + n * EPS)
+
+
+def test_integrand_calls_hold_at_most_one_chunk():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sqrt(np.abs(np.sin(40.0 * x)))
+
+    panels = 5 * PANEL_CHUNK + 7
+    res = integrate_adaptive(f, 0.0, 3.0, tol=1e-9,
+                             breakpoints=np.linspace(0.0, 3.0, panels + 1)[1:-1])
+    seeds = -(-panels // PANEL_CHUNK)
+    assert sizes[:seeds] == [15 * PANEL_CHUNK] * (seeds - 1) + [15 * (panels % PANEL_CHUNK)]
+    assert len(sizes) > seeds  # the kinks of |sin| force bisection
+    assert set(sizes[seeds:]) == {30}  # both children in one call
+    assert res.evaluations == sum(sizes)
+
+
+def test_charfn_blocks_bound_temporaries(monkeypatch):
+    phi = CharFn.from_law(make_step_law(StepLawParams(Fraction(1, 2), 2000)))
+    ts = np.linspace(0.0, 40.0, 15 * PANEL_CHUNK)
+    whole = phi.zero_mass + np.cos(np.multiply.outer(ts, np.array(phi.frequencies))) @ (
+        2.0 * np.array(phi.pair_masses))
+    cos = np.cos
+    sizes = []
+
+    def recording_cos(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", recording_cos)
+    got = phi(ts)
+    assert max(sizes) <= CHARFN_BLOCK
+    assert sum(sizes) == ts.size * len(phi.frequencies)
+    np.testing.assert_allclose(got, whole, rtol=0.0, atol=1e-13)
 
 
 def test_bad_interval_rejected():
