@@ -1,21 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the reference tables: breakpoint slopes, tangent values,
-and a power-integral sweep. Writes three CSV files into --out-dir."""
+and a power-integral sweep of the +-1 coin law. Writes three CSV files
+into --out-dir through the khinchin-lab CLI."""
 import argparse
 import os
 import sys
 
-from khinchin_lab import haagerup, lemmas
-from khinchin_lab.reports import sig12
-
-
-def sweep_csv(s_min: float, s_max: float, n: int, tol: float) -> str:
-    lines = ["s,F_value,err"]
-    for k in range(n):
-        s = s_min + (s_max - s_min) * k / (n - 1)
-        res = haagerup.haagerup_function(s, tol=tol)
-        lines.append(f"{sig12(s):.12g},{sig12(res.value):.12g},{sig12(res.abs_error):.12g}")
-    return "\n".join(lines) + "\n"
+from khinchin_lab import cli
 
 
 def main(argv=None) -> int:
@@ -26,22 +17,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = {
-        "slopes.csv": lemmas.slope_table().to_csv(),
-        "tangents.csv": lemmas.tangent_csv(),
-        "power_integral_sweep.csv": sweep_csv(1.0, 20.0, args.sweep_points, args.tol),
+    runs = {
+        "slopes.csv": ["table1"],
+        "tangents.csv": ["table1", "--tangents"],
+        "power_integral_sweep.csv": ["sweep", "--rho0", "0", "--L", "1", "--format", "csv",
+                                     "--n", str(args.sweep_points), "--tol", repr(args.tol)],
     }
-    for name, text in outputs.items():
+    codes = []
+    for name, argv_ in runs.items():
         path = os.path.join(args.out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path}", file=sys.stderr)
-
-    ok, worst = lemmas.slope_table().check_lower_bounds()
-    if not ok:
-        print(f"slope bounds violated, worst slack {worst}", file=sys.stderr)
-        return 1
-    return 0
+        code = cli.main([*argv_, "--out", path])
+        if code != 2:  # 2: bad input or unwritable path, nothing written
+            print(f"wrote {path}", file=sys.stderr)
+        codes.append(code)
+    return max(codes)
 
 
 if __name__ == "__main__":

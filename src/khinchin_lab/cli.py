@@ -5,7 +5,7 @@ machine-readable reports.
 Exit status: 0 when every selected verdict passes, 1 on partial failures
 (failing claims listed on standard error), 2 on malformed input or an
 unwritable output path.  Identical config and seed give byte-identical
-output.  KHINCHIN_LAB_THREADS caps the worker pool.
+output.
 """
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,23 +93,6 @@ class RunConfig:
     output_format: str = "json"
     output_path: str | None = None
     seed: int = DEFAULT_SEED
-
-
-def _pool_size() -> int:
-    env = os.environ.get("KHINCHIN_LAB_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-def _run_tasks(tasks):
-    if len(tasks) <= 1 or _pool_size() == 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as ex:
-        return list(ex.map(lambda t: t(), tasks))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -263,8 +244,7 @@ def _verify_tasks(config: RunConfig) -> list:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    reports = _run_tasks(_verify_tasks(config))
-    return _finish(reports, config)
+    return _finish([task() for task in _verify_tasks(config)], config)
 
 
 def _cmd_haagerup(config: RunConfig) -> int:
@@ -348,8 +328,7 @@ def _cmd_necessity(config: RunConfig) -> int:
 
     tasks = [schur_side, comparison_side,
              lambda: haagerup.two_weight_threshold(L), critical]
-    reports = _run_tasks(tasks)
-    return _finish(reports, config)
+    return _finish([task() for task in tasks], config)
 
 
 def _cmd_sweep(config: RunConfig) -> int:
@@ -364,9 +343,8 @@ def _cmd_sweep(config: RunConfig) -> int:
     budget = p.get("budget")
     quad_kwargs = {"max_evals": budget} if budget else {}
     ss = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-    results = _run_tasks([
-        (lambda s=s: haagerup.charfn_power_integral(law, s, tol=p["tol"], **quad_kwargs))
-        for s in ss])
+    results = [haagerup.charfn_power_integral(law, s, tol=p["tol"], **quad_kwargs)
+               for s in ss]
     rows = [{"s": sig12(s), "F_value": sig12(r.value), "err": sig12(r.abs_error)}
             for s, r in zip(ss, results)]
     if config.output_format == "csv":

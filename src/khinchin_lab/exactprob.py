@@ -1,11 +1,16 @@
 """Symmetric discrete laws, exact weighted-sum convolution, and moments.
 
-Probability masses are `fractions.Fraction` throughout, so convolution and
-integer-order absolute moments are exact; atom values may be rational or
-float.  Weights are plain sequences of int, Fraction or float.  The module
-also carries the Gaussian reference quantities (norms, shifted moments,
-plus-part second moments) that the comparison certificates are checked
-against.
+One law type, `SymmetricAtomLaw`, holds both a single law and the law of a
+weighted sum.  It is given either by its atom table or, for the sums that
+`convolve_weighted` builds from rational inputs, by an exact integer grid:
+integer values over one value scale and integer mass numerators over one
+mass denominator, which keeps the heavy convolutions in machine integers.
+A grid law builds its atom table on first use.  Probability masses are
+`fractions.Fraction` throughout, so convolution and integer-order absolute
+moments are exact; atom values may be rational or float.  Weights are
+plain sequences of int, Fraction or float.  The module also carries the
+Gaussian reference quantities (norms, shifted moments, plus-part second
+moments) that the comparison certificates are checked against.
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ __all__ = [
     "MomentMethod",
     "MomentValue",
     "StepLawParams",
-    "SumLaw",
     "SymmetricAtomLaw",
     "abs_moment",
     "convolve_weighted",
@@ -89,36 +93,63 @@ def _parse_scalar(text: str) -> Scalar:
         return float(s)
 
 
-def _check_atoms(pairs: Iterable[tuple[Scalar, Fraction]], what: str):
-    """Shared validation: positive rational masses summing to 1, symmetry."""
+def _check_atoms(pairs: Iterable[tuple[Scalar, Fraction]]):
+    """Validated atom table: positive rational masses summing to 1, symmetry."""
     atoms = []
     for v, m in pairs:
-        mass = _as_fraction(m, f"{what} mass")
+        mass = _as_fraction(m, "law mass")
         if mass <= 0:
-            raise ValueError(f"{what} masses must be positive, got {mass} at value {v!r}")
+            raise ValueError(f"law masses must be positive, got {mass} at value {v!r}")
         atoms.append((_canonical_value(v), mass))
     atoms.sort(key=lambda a: float(a[0]))
     values = [v for v, _ in atoms]
     if len(set(values)) != len(values):
-        raise ValueError(f"{what} atom values must be distinct")
+        raise ValueError("law atom values must be distinct")
     total = sum(m for _, m in atoms)
     if total != 1:
-        raise ValueError(f"{what} masses must sum to exactly 1, got {total}")
+        raise ValueError(f"law masses must sum to exactly 1, got {total}")
     table = {v: m for v, m in atoms}
     for v, m in atoms:
         if table.get(-v) != m:
-            raise ValueError(f"{what} must be symmetric: value {v!r} has no matching mass at {-v!r}")
+            raise ValueError(f"law must be symmetric: value {v!r} has no matching mass at {-v!r}")
     return tuple(atoms)
 
 
-@dataclass(frozen=True)
 class SymmetricAtomLaw:
-    """Finite symmetric law given by its atom table, masses exact rationals."""
+    """Finite symmetric law with exact rational masses.
 
-    atoms: tuple[tuple[Scalar, Fraction], ...]
+    Built from its atom table of (value, mass) pairs, or by `_from_int_grid`
+    from an integer grid: values int_values / value_scale with masses
+    mass_nums / mass_den, in increasing order of value.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _check_atoms(self.atoms, "law"))
+    __slots__ = ("_atoms", "_grid")
+
+    def __init__(self, atoms: Iterable[tuple[Scalar, Fraction]]):
+        self._atoms = _check_atoms(atoms)
+        self._grid = None
+
+    @classmethod
+    def _from_int_grid(cls, int_values: list[int], mass_nums: list[int],
+                       mass_den: int, value_scale: int) -> "SymmetricAtomLaw":
+        if len(int_values) != len(mass_nums) or not int_values:
+            raise ValueError("mismatched grid arrays")
+        if sum(mass_nums) != mass_den:
+            raise ValueError("grid masses must sum to exactly 1")
+        if int_values != [-x for x in reversed(int_values)] or mass_nums != mass_nums[::-1]:
+            raise ValueError("grid law must be symmetric")
+        self = object.__new__(cls)
+        self._atoms = None
+        self._grid = (int_values, mass_nums, mass_den, value_scale)
+        return self
+
+    @property
+    def atoms(self) -> tuple[tuple[Scalar, Fraction], ...]:
+        if self._atoms is None:
+            int_values, mass_nums, den, scale = self._grid
+            self._atoms = tuple((Fraction(iv, scale), Fraction(num, den))
+                                for iv, num in zip(int_values, mass_nums))
+        return self._atoms
 
     @property
     def values(self) -> tuple[Scalar, ...]:
@@ -128,22 +159,30 @@ class SymmetricAtomLaw:
     def masses(self) -> tuple[Fraction, ...]:
         return tuple(m for _, m in self.atoms)
 
+    def __len__(self) -> int:
+        return len(self._atoms if self._grid is None else self._grid[0])
+
     @property
     def is_rational(self) -> bool:
-        return all(isinstance(v, Rational) for v in self.values)
+        return self._grid is not None or all(isinstance(v, Rational) for v, _ in self._atoms)
 
     @property
     def zero_mass(self) -> Fraction:
-        for v, m in self.atoms:
-            if v == 0:
-                return m
-        return Fraction(0)
+        if self._grid is None:
+            return self.mass_at(0)
+        # a symmetric grid holds 0 exactly when it has an odd number of values
+        _, mass_nums, den, _ = self._grid
+        return Fraction(mass_nums[len(mass_nums) // 2], den) if len(mass_nums) % 2 else Fraction(0)
 
     def values_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
+        if self._grid is not None:
+            return np.array(self._grid[0], dtype=float) / float(self._grid[3])
+        return np.array([float(v) for v, _ in self._atoms], dtype=float)
 
     def masses_float(self) -> np.ndarray:
-        return np.array([float(m) for m in self.masses], dtype=float)
+        if self._grid is not None:
+            return np.array(self._grid[1], dtype=float) / float(self._grid[2])
+        return np.array([float(m) for _, m in self._atoms], dtype=float)
 
     def mass_at(self, v) -> Fraction:
         for value, m in self.atoms:
@@ -156,7 +195,7 @@ class SymmetricAtomLaw:
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricAtomLaw":
-        return cls(tuple(_atoms_from_json(text)))
+        return cls(_atoms_from_json(text))
 
 
 @dataclass(frozen=True)
@@ -207,99 +246,6 @@ def make_symmetric_law(zero_mass, positive_atoms: Mapping[Scalar, Scalar]) -> Sy
     return SymmetricAtomLaw(tuple(atoms))
 
 
-class SumLaw:
-    """Exact law of a weighted sum: a value -> mass table.
-
-    Either built directly from atom pairs, or (for all-rational inputs) held
-    as an integer value grid with integer mass numerators over one common
-    denominator, which keeps the heavy convolutions in machine integers.
-    Masses are exact rationals in both representations.
-    """
-
-    __slots__ = ("_atoms", "_int_values", "_mass_nums", "_mass_den", "_value_scale")
-
-    def __init__(self, atoms: tuple[tuple[Scalar, Fraction], ...]):
-        self._atoms = _check_atoms(atoms, "sum law")
-        self._int_values = None
-        self._mass_nums = None
-        self._mass_den = None
-        self._value_scale = None
-
-    @classmethod
-    def _from_int_grid(cls, int_values, mass_nums, mass_den: int, value_scale: int) -> "SumLaw":
-        self = object.__new__(cls)
-        iv = [int(x) for x in int_values]
-        nums = [int(x) for x in mass_nums]
-        if len(iv) != len(nums) or not iv:
-            raise ValueError("mismatched grid arrays")
-        if sum(nums) != mass_den:
-            raise ValueError("grid masses must sum to exactly 1")
-        if iv != [-x for x in reversed(iv)] or nums != nums[::-1]:
-            raise ValueError("grid law must be symmetric")
-        self._atoms = None
-        self._int_values = iv
-        self._mass_nums = nums
-        self._mass_den = int(mass_den)
-        self._value_scale = int(value_scale)
-        return self
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "SumLaw":
-        return cls(tuple(pairs))
-
-    @property
-    def atoms(self) -> tuple[tuple[Scalar, Fraction], ...]:
-        if self._atoms is None:
-            scale, den = self._value_scale, self._mass_den
-            self._atoms = tuple(
-                (Fraction(iv, scale), Fraction(num, den))
-                for iv, num in zip(self._int_values, self._mass_nums)
-            )
-        return self._atoms
-
-    @property
-    def support(self) -> dict:
-        return {v: m for v, m in self.atoms}
-
-    def __len__(self) -> int:
-        return len(self._int_values if self._atoms is None else self._atoms)
-
-    @property
-    def is_rational(self) -> bool:
-        if self._int_values is not None:
-            return True
-        return all(isinstance(v, Rational) for v, _ in self._atoms)
-
-    @property
-    def zero_mass(self) -> Fraction:
-        if self._int_values is not None:
-            for iv, num in zip(self._int_values, self._mass_nums):
-                if iv == 0:
-                    return Fraction(num, self._mass_den)
-            return Fraction(0)
-        for v, m in self._atoms:
-            if v == 0:
-                return m
-        return Fraction(0)
-
-    def values_float(self) -> np.ndarray:
-        if self._int_values is not None:
-            return np.array(self._int_values, dtype=float) / float(self._value_scale)
-        return np.array([float(v) for v, _ in self._atoms], dtype=float)
-
-    def masses_float(self) -> np.ndarray:
-        if self._mass_nums is not None:
-            return np.array(self._mass_nums, dtype=float) / float(self._mass_den)
-        return np.array([float(m) for _, m in self._atoms], dtype=float)
-
-    def to_json(self) -> str:
-        return law_to_json(self)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SumLaw":
-        return cls.from_pairs(_atoms_from_json(text))
-
-
 def law_to_json(law) -> str:
     """Serialize a law as {"atoms": [{"v": ..., "m": ...}, ...]}.
 
@@ -328,21 +274,24 @@ def _atoms_from_json(text: str):
     return pairs
 
 
-def law_from_json(text: str, kind=SymmetricAtomLaw):
-    if kind is SymmetricAtomLaw:
-        return SymmetricAtomLaw.from_json(text)
-    if kind is SumLaw:
-        return SumLaw.from_json(text)
-    raise TypeError(f"unsupported law kind {kind!r}")
+def law_from_json(text: str) -> SymmetricAtomLaw:
+    return SymmetricAtomLaw.from_json(text)
 
 
-def second_moment(law) -> Scalar:
+def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:
+    """E |X|^k, k >= 1, as an exact rational for a law with rational
+    support: by symmetry, twice the sum over the positive atoms."""
+    if law._grid is not None:
+        int_values, mass_nums, den, scale = law._grid
+        s = sum(num * iv**k for iv, num in zip(int_values, mass_nums) if iv > 0)
+        return Fraction(2 * s, den * scale**k)
+    return 2 * sum((m * v**k for v, m in law.atoms if v > 0), Fraction(0))
+
+
+def second_moment(law: SymmetricAtomLaw) -> Scalar:
     """E X^2, exact (Fraction) when the support is rational."""
-    if getattr(law, "_int_values", None) is not None:
-        s = sum(num * iv * iv for iv, num in zip(law._int_values, law._mass_nums))
-        return Fraction(s, law._mass_den * law._value_scale**2)
     if law.is_rational:
-        return sum(m * v * v for v, m in law.atoms)
+        return _exact_power_sum(law, 2)
     vals = law.values_float()
     return float(np.dot(law.masses_float(), vals * vals))
 
@@ -352,13 +301,10 @@ def sigma_of(law) -> float:
     return math.sqrt(float(second_moment(law)))
 
 
-def first_abs_moment(law) -> Scalar:
+def first_abs_moment(law: SymmetricAtomLaw) -> Scalar:
     """E |X|, exact when the support is rational."""
-    if getattr(law, "_int_values", None) is not None:
-        s = sum(num * abs(iv) for iv, num in zip(law._int_values, law._mass_nums))
-        return Fraction(s, law._mass_den * law._value_scale)
     if law.is_rational:
-        return sum(m * abs(v) for v, m in law.atoms)
+        return _exact_power_sum(law, 1)
     return float(np.dot(law.masses_float(), np.abs(law.values_float())))
 
 
@@ -372,7 +318,7 @@ def _projected_support(laws, cap: int) -> int:
 
 
 def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
-                      max_atoms: int = SUPPORT_GUARD) -> SumLaw:
+                      max_atoms: int = SUPPORT_GUARD) -> SymmetricAtomLaw:
     """Exact law of sum_i weights[i] * X_i for independent X_i ~ laws[i].
 
     All-rational inputs use an integer-grid convolution (exact); any float
@@ -395,7 +341,7 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
     return _convolve_float(laws, [float(w) for w in weights], max_atoms)
 
 
-def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SumLaw:
+def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SymmetricAtomLaw:
     # Scale all weighted values onto one integer grid.
     scaled: list[list[tuple[Fraction, Fraction]]] = []
     denoms: set[int] = set()
@@ -435,7 +381,7 @@ def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SumLaw:
             sparse = merged
         int_values = sorted(x for x, c in sparse.items() if c)
         mass_nums = [sparse[x] for x in int_values]
-        return SumLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
+        return SymmetricAtomLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
 
     use_int64 = mass_den <= _INT64_SAFE
     dtype = np.int64 if use_int64 else object
@@ -454,10 +400,11 @@ def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SumLaw:
     nz = np.flatnonzero(acc)
     int_values = [int(i) - center for i in nz]
     mass_nums = [int(acc[i]) for i in nz]
-    return SumLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
+    return SymmetricAtomLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
 
 
-def _convolve_float(laws, weights: list[float], max_atoms: int = SUPPORT_GUARD) -> SumLaw:
+def _convolve_float(laws, weights: list[float],
+                    max_atoms: int = SUPPORT_GUARD) -> SymmetricAtomLaw:
     table: dict[float, Fraction] = {0.0: Fraction(1)}
     for law, w in zip(laws, weights):
         if len(table) * len(law.atoms) > max_atoms:
@@ -486,7 +433,7 @@ def _convolve_float(laws, weights: list[float], max_atoms: int = SUPPORT_GUARD) 
         j -= 1
     if i == j:
         sym.append((0.0, pairs[i][1]))
-    return SumLaw.from_pairs(sym)
+    return SymmetricAtomLaw(sym)
 
 
 def _merge_close_atoms(table: dict[float, Fraction]) -> dict[float, Fraction]:
@@ -537,8 +484,8 @@ class MomentValue:
             raise ValueError("exact moments carry zero abs_error")
 
 
-def abs_moment(law, p, mode: str = "auto") -> MomentValue:
-    """E |X|^p for a law or sum law.
+def abs_moment(law: SymmetricAtomLaw, p, mode: str = "auto") -> MomentValue:
+    """E |X|^p for a law.
 
     p >= 1.  Rational support with integer p gives an exact rational result
     (mode "float" forces the floating route, used for cross-checks); any
@@ -554,12 +501,7 @@ def abs_moment(law, p, mode: str = "auto") -> MomentValue:
     if mode == "exact" and not can_exact:
         raise ValueError("exact moment requires rational support and integer p")
     if can_exact and mode != "float":
-        k = int(pf)
-        if getattr(law, "_int_values", None) is not None:
-            s = sum(num * abs(iv) ** k for iv, num in zip(law._int_values, law._mass_nums))
-            exact = Fraction(s, law._mass_den * law._value_scale**k)
-        else:
-            exact = sum(m * abs(v) ** k for v, m in law.atoms)
+        exact = _exact_power_sum(law, int(pf))
         return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
     vals = law.values_float()
     masses = law.masses_float()
@@ -644,13 +586,24 @@ class GaussianRef:
             raise ValueError("sigma must be positive")
 
 
-def plus_part_second_moment(source, a) -> Scalar:
-    """E (X^2 - a)_+ for a discrete law (exact when rational) or GaussianRef.
+def _gaussian_plus_part(s2: float, a):
+    """E (G^2 - a)_+ for G centred Gaussian with variance s2, elementwise in
+    the thresholds a >= 0 (a float or an array).
 
-    For the Gaussian the complementary-error closed form is used:
-    sigma^2 * 2 * (sqrt(t) pdf(sqrt(t)) + (1 - t) Q(sqrt(t))) at t = a/sigma^2,
+    The complementary-error closed form
+    s2 * 2 * (sqrt(t) pdf(sqrt(t)) + (1 - t) Q(sqrt(t))) at t = a/s2,
     where Q is the standard upper tail.
     """
+    t = a / s2
+    rt = np.sqrt(t)
+    pdf = np.exp(-0.5 * t) / math.sqrt(2.0 * math.pi)
+    upper = 0.5 * erfc(rt / math.sqrt(2.0))
+    return s2 * 2.0 * (rt * pdf + (1.0 - t) * upper)
+
+
+def plus_part_second_moment(source, a) -> Scalar:
+    """E (X^2 - a)_+ for a discrete law (exact when rational) or GaussianRef,
+    the latter by the closed form of `_gaussian_plus_part`."""
     if isinstance(a, float):
         af = a
     else:
@@ -658,12 +611,7 @@ def plus_part_second_moment(source, a) -> Scalar:
     if af < 0:
         raise ValueError(f"threshold a must be nonnegative, got {a!r}")
     if isinstance(source, GaussianRef):
-        s2 = source.sigma**2
-        t = af / s2
-        rt = math.sqrt(t)
-        pdf = math.exp(-0.5 * t) / math.sqrt(2.0 * math.pi)
-        upper = 0.5 * erfc(rt / math.sqrt(2.0))
-        return s2 * 2.0 * (rt * pdf + (1.0 - t) * upper)
+        return float(_gaussian_plus_part(source.sigma**2, af))
     if source.is_rational and not isinstance(a, float):
         a_ex = _as_fraction(a, "threshold a")
         total = Fraction(0)

@@ -99,7 +99,7 @@ class CharFn:
         return 2.0 * self.zero_mass - 1.0
 
 
-def charfn(law, t):
+def charfn(law: SymmetricAtomLaw, t):
     return CharFn.from_law(law)(t)
 
 
@@ -117,7 +117,7 @@ def _all_rational(xs) -> bool:
     return all(isinstance(x, Rational) and not isinstance(x, bool) for x in xs)
 
 
-def product_charfn_period(law, weights) -> float | None:
+def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
     """Common period of t -> prod_j charfn(a_j t), or None if a weight or
     support value is not rational."""
     if not (law.is_rational and _all_rational(weights)):
@@ -129,7 +129,7 @@ def product_charfn_period(law, weights) -> float | None:
     return float(2 * math.pi / rational_frequency_gcd(freqs))
 
 
-def power_charfn_period(law, s: float) -> float | None:
+def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
     """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
     if not law.is_rational:
         return None

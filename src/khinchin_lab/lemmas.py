@@ -22,7 +22,13 @@ from numbers import Rational
 import numpy as np
 from scipy.special import erfc as _erfc_vec
 
-from .exactprob import GaussianRef, StepLawParams, make_step_law, plus_part_second_moment
+from .exactprob import (
+    GaussianRef,
+    StepLawParams,
+    _gaussian_plus_part,
+    make_step_law,
+    plus_part_second_moment,
+)
 from .quadrature import integrate_adaptive
 from .reports import VerdictReport, sig12
 
@@ -295,12 +301,7 @@ def plus_part_gap_grid(L: int, a_values: np.ndarray) -> np.ndarray:
     a = np.asarray(a_values, dtype=float)
     if np.any(a < 0):
         raise ValueError("thresholds must be nonnegative")
-    s2 = float(_sigma2(L))
-    t = a / s2
-    rt = np.sqrt(t)
-    pdf = np.exp(-0.5 * t) / math.sqrt(2.0 * math.pi)
-    upper = 0.5 * _erfc_vec(rt / math.sqrt(2.0))
-    gauss = s2 * 2.0 * (rt * pdf + (1.0 - t) * upper)
+    gauss = _gaussian_plus_part(float(_sigma2(L)), a)
     # suffix sums S2[c] = sum_{k=c}^{L} k^2, c = ceil(sqrt(a))
     ks = np.arange(L + 1)
     suffix = np.concatenate([np.cumsum((ks * ks)[::-1])[::-1], [0]])

@@ -49,6 +49,9 @@ _EPS = np.finfo(float).eps
 #: seed panels per integrand call (15 nodes each)
 PANEL_CHUNK = 128
 
+#: most seed panels the tail routine lays over one zone
+SEED_CAP = 20_000
+
 
 class QuadratureError(RuntimeError):
     """Raised by callers that require a converged quadrature result."""
@@ -103,38 +106,22 @@ _GAUSS_W = np.array([
 ])
 
 
-class _VecFn:
-    """Wrap an integrand so it can be called on arrays.
-
-    Vectorized callables are used as-is; scalar-only callables are detected
-    on the first call and looped over transparently.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self._vector = None
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        if self._vector is None:
-            try:
-                out = np.asarray(self._f(xs), dtype=float)
-                if out.shape == xs.shape:
-                    self._vector = True
-                    return out
-            except Exception:
-                pass
-            self._vector = False
-        if self._vector:
-            return np.asarray(self._f(xs), dtype=float)
-        return np.array([float(self._f(float(x))) for x in xs], dtype=float)
+def _evaluate(f, xs: np.ndarray) -> np.ndarray:
+    """f(xs) as floats; f must be vectorized, returning one value per point."""
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(
+            f"integrand must map an array of shape {xs.shape} to one of the same shape, "
+            f"got shape {ys.shape}")
+    return ys
 
 
-def _gk15(fn: _VecFn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod panels [a[i], b[i]] in one integrand call on their
     (k, 15) grid of nodes; returns per-panel (values, error estimates)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    ys = fn((mid[:, None] + half[:, None] * _KRONROD_X).ravel()).reshape(-1, 15)
+    ys = _evaluate(f, (mid[:, None] + half[:, None] * _KRONROD_X).ravel()).reshape(-1, 15)
     val_k = half * (ys @ _KRONROD_W)
     val_g = half * (ys[:, 1::2] @ _GAUSS_W)
     resabs = half * (np.abs(ys) @ _KRONROD_W)
@@ -163,8 +150,9 @@ def integrate_adaptive(
     summed estimate satisfies abs_error <= tol * max(1, |result|), a depth
     cap of `max_depth` bisections, or the evaluation budget.  `breakpoints`
     seeds the initial subdivision (interior points; kinks and known feature
-    scales go here).  The integrand may be vectorized over numpy arrays or
-    scalar-only.
+    scales go here).  The integrand must be vectorized: called on an array
+    of points it returns an array of the same shape, or a ValueError is
+    raised.
     """
     lo = float(lo)
     hi = float(hi)
@@ -172,12 +160,11 @@ def integrate_adaptive(
         raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    fn = f if isinstance(f, _VecFn) else _VecFn(f)
 
     inner = np.unique(np.asarray(breakpoints, dtype=float))
     ends = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
     lefts, rights = ends[:-1], ends[1:]
-    chunks = [_gk15(fn, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
+    chunks = [_gk15(f, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
               for i in range(0, lefts.size, PANEL_CHUNK)]
     vals = np.concatenate([v for v, _ in chunks])
     errs = np.concatenate([e for _, e in chunks])
@@ -201,7 +188,7 @@ def integrate_adaptive(
             # Unrefinable piece: keep its contribution, stop touching it.
             continue
         mid = 0.5 * (a + b)
-        halves, half_errs = _gk15(fn, np.array([a, mid]), np.array([mid, b]))
+        halves, half_errs = _gk15(f, np.array([a, mid]), np.array([mid, b]))
         (v1, v2), (e1, e2) = halves.tolist(), half_errs.tolist()
         evals += 30
         total_val += (v1 + v2) - val
@@ -215,10 +202,15 @@ def integrate_adaptive(
     return QuadratureResult(total_val, total_err, evals, converged)
 
 
-def _seed_points(lo: float, hi: float, width: float, cap: int = 20_000):
-    """Uniform interior breakpoints of roughly the given width."""
-    n = int((hi - lo) / max(width, 1e-12))
-    n = min(max(n, 0), cap)
+def _seed_count(lo: float, hi: float, width: float) -> int:
+    """Number of panels of roughly the given width that cover [lo, hi]."""
+    return max(int((hi - lo) / max(width, 1e-12)), 0)
+
+
+def _seed_points(lo: float, hi: float, width: float):
+    """Uniform interior breakpoints of roughly the given width, at most
+    SEED_CAP panels."""
+    n = min(_seed_count(lo, hi, width), SEED_CAP)
     if n <= 1:
         return ()
     return np.linspace(lo, hi, n + 1)[1:-1]
@@ -245,11 +237,14 @@ def integrate_khinchin_tail(
     genuinely periodic with that period (rational-support laws under
     rational weights; never float weights).  `rate_hint` bounds |d/dt| of
     the oscillatory part and seeds the subdivision so narrow features are
-    not missed by the panel rule.
+    not missed by the panel rule; a periodic zone that would need more than
+    SEED_CAP seed panels of width pi/rate is reported as not converged.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    fn = _VecFn(g)
+    def fn(ts):
+        return _evaluate(g, ts)
+
     t0 = 1e-3
     two_over_pi = 2.0 / math.pi
 
@@ -293,7 +288,12 @@ def integrate_khinchin_tail(
         raw_val = near_val + mid.value + tail.value
         raw_err = near_err + mid.abs_error + tail.abs_error
         evals += mid.evaluations + tail.evaluations
-        pieces_ok = mid.converged and tail.converged
+        # Wider than pi/rate, seed panels can step over the integrand's
+        # features while the panel rule agrees with itself on them: a zone
+        # that needs more than SEED_CAP of them is not converged.
+        seeds_fit = max(_seed_count(t0, t_switch, seed_width),
+                        _seed_count(0.0, period, seed_width)) <= SEED_CAP
+        pieces_ok = mid.converged and tail.converged and seeds_fit
     else:
         # Aperiodic: integrate outward in doubling blocks under sup|g|/T.
         raw_mid = 0.0

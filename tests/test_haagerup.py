@@ -90,6 +90,14 @@ def test_first_abs_moment_integral_matches_enumeration():
     assert res.value == pytest.approx(209 / 192, abs=1e-8)
 
 
+def test_periodic_tail_past_seed_cap_is_not_converged():
+    # period ~6e15 against features near t ~ 1/rate ~ 3e4: the seed panels
+    # would be ~3e11 wide, and the value (1.4e-9) is far from E|S| = 9.4e-6
+    w = [Fraction(1, 100003), Fraction(1, 100019), Fraction(1, 100043)]
+    res = first_abs_moment_integral(w, HALF)
+    assert not res.converged
+
+
 def test_first_abs_moment_integral_irrational_weights():
     r = 1 / math.sqrt(2)
     res = first_abs_moment_integral([r, r], COIN, tol=1e-5)

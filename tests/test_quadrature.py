@@ -14,7 +14,6 @@ from khinchin_lab.quadrature import (
     _KRONROD_W,
     _KRONROD_X,
     _gk15,
-    _VecFn,
     integrate_adaptive,
     integrate_khinchin_tail,
 )
@@ -58,13 +57,20 @@ def test_breakpoint_kink():
     assert abs(res.value - 5.0 / 18.0) < 1e-12
 
 
-def test_scalar_only_integrand():
-    def f(x):
+def test_scalar_returning_integrand_raises():
+    with pytest.raises(ValueError, match="same shape"):
+        integrate_adaptive(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="same shape"):
+        integrate_khinchin_tail(lambda t: 0.5, period_hint=2 * math.pi)
+
+
+def test_integrand_error_on_arrays_propagates():
+    def f(x):  # scalar-only: the comparison is ambiguous on an array
         if x < 0.5:
             return float(x)
         return float(1.0 - x)
-    res = integrate_adaptive(f, 0.0, 1.0, tol=1e-10, breakpoints=(0.5,))
-    assert abs(res.value - 0.25) < 1e-10
+    with pytest.raises(ValueError, match="truth value"):
+        integrate_adaptive(f, 0.0, 1.0, tol=1e-10, breakpoints=(0.5,))
 
 
 def _gk15_error(diff, resasc, resabs):
@@ -107,8 +113,7 @@ def test_batched_panels_match_per_panel_reference():
     f = _charfn_integrand()
     ends = np.linspace(1e-3, 150.0, 3001)
     lefts, rights = ends[:-1], ends[1:]
-    fn = _VecFn(f)
-    chunks = [_gk15(fn, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
+    chunks = [_gk15(f, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
               for i in range(0, lefts.size, PANEL_CHUNK)]
     vals = np.concatenate([v for v, _ in chunks])
     errs = np.concatenate([e for _, e in chunks])
