@@ -1,70 +1,61 @@
 #!/usr/bin/env python3
 """Run the full verdict battery across a grid of law parameters.
 
-Collects every report the CLI can emit (verify, necessity, dual-route
-moment check) for a few representative laws and writes one JSON array,
-to stdout or --out. Exits 1 if any verdict failed.
+Runs the khinchin-lab CLI's `verify` claims for a few representative laws,
+plus `necessity`, and writes every report as one JSON array, to stdout or
+--out.  Exits with the largest exit status of the calls: 1 if any verdict
+failed.
 """
 import argparse
+import contextlib
+import io
 import json
 import sys
-from fractions import Fraction
 
-from khinchin_lab import haagerup, lemmas, schur
-from khinchin_lab.exactprob import StepLawParams, make_step_law
-from khinchin_lab.reports import to_jsonable
-
-DEFAULT_SEED = 1729
+from khinchin_lab import cli
 
 
-def battery(trials: int, seed: int):
-    reports = []
-
-    reports.append(lemmas.verify_two_point(Fraction(1, 2)))
-    for L in (1, 2, 5, 7, 9):
-        reports.append(lemmas.verify_convex_dominance(L))
-
-    for rho_num, p in ((0, 3), (1, 3), (2, 4)):
-        law = make_step_law(StepLawParams(Fraction(rho_num, 4), 1))
-        reports.append(schur.majorization_report(4, law, p, trials=trials, seed=seed))
-
-    coin = make_step_law(StepLawParams(Fraction(0), 2))
-    reports.append(schur.verify_gaussian_comparison(
-        [Fraction(1), Fraction(1, 2), Fraction(1, 4)], [coin] * 3, 3))
-
-    for rho in (Fraction(1, 2), Fraction(3, 4)):
-        law = make_step_law(StepLawParams(rho, 2))
-        reports.append(haagerup.l1_l2_verdict(law, [Fraction(1), Fraction(1, 3)]))
-        reports.append(haagerup.verify_charfn_power_floor(law, (1.0, 2.0, 4.0)))
-
-    reports.append(haagerup.concavity_in_zero_mass(
-        1, 2.0, [Fraction(k, 8) for k in range(8)]))
-    reports.append(haagerup.two_weight_threshold(1))
-    return reports
+def battery(trials: int, seed: int) -> list[list[str]]:
+    """The CLI calls of the battery, one argv each."""
+    runs = [["verify", "--claim", "two-point"]]
+    runs += [["verify", "--claim", "dominance", "--L", str(L)] for L in (1, 2, 5, 7, 9)]
+    runs += [["verify", "--claim", "schur", "--n", "4", "--rho0", rho0, "--p", p,
+              "--trials", str(trials), "--seed", str(seed)]
+             for rho0, p in (("0", "3"), ("1/4", "3"), ("1/2", "4"))]
+    runs.append(["verify", "--claim", "comparison", "--rho0", "0", "--L", "2",
+                 "--weights", "1,1/2,1/4"])
+    for rho0 in ("1/2", "3/4"):
+        runs.append(["verify", "--claim", "l1l2", "--rho0", rho0, "--L", "2",
+                     "--weights", "1,1/3"])
+        runs.append(["verify", "--claim", "power-floor", "--rho0", rho0, "--L", "2"])
+    runs.append(["verify", "--claim", "concavity", "--L", "1"])
+    runs.append(["necessity", "--L", "1"])
+    return runs
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ap.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
-    reports = battery(args.trials, args.seed)
-    payload = json.dumps([to_jsonable(r.to_obj()) for r in reports],
-                         indent=2, allow_nan=False) + "\n"
+    reports, codes = [], []
+    for run in battery(args.trials, args.seed):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(cli.main(run))
+        if out.getvalue():
+            obj = json.loads(out.getvalue())
+            reports += obj if isinstance(obj, list) else [obj]
+    payload = json.dumps(reports, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-    failed = [r.claim for r in reports if not r.passed]
-    if failed:
-        print("failed claims: " + ", ".join(failed), file=sys.stderr)
-        return 1
-    print(f"all {len(reports)} verdicts passed", file=sys.stderr)
-    return 0
+    print(f"{len(reports)} reports, exit status {max(codes)}", file=sys.stderr)
+    return max(codes)
 
 
 if __name__ == "__main__":

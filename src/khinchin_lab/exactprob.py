@@ -1,16 +1,17 @@
 """Symmetric discrete laws, exact weighted-sum convolution, and moments.
 
 One law type, `SymmetricAtomLaw`, holds both a single law and the law of a
-weighted sum.  It is given either by its atom table or, for the sums that
-`convolve_weighted` builds from rational inputs, by an exact integer grid:
-integer values over one value scale and integer mass numerators over one
-mass denominator, which keeps the heavy convolutions in machine integers.
-A grid law builds its atom table on first use.  Probability masses are
-`fractions.Fraction` throughout, so convolution and integer-order absolute
-moments are exact; atom values may be rational or float.  Weights are
-plain sequences of int, Fraction or float.  The module also carries the
-Gaussian reference quantities (norms, shifted moments, plus-part second
-moments) that the comparison certificates are checked against.
+weighted sum, always as one grid: values in increasing order with integer
+mass numerators over one mass denominator.  Rational values are integers
+over one value scale, so the exact convolutions stay in machine integers;
+float or mixed values are floats.  Probability masses are exact rationals
+throughout, so convolution and integer-order absolute moments of rational
+laws are exact.  A sum with any float weight or float value keeps exact
+masses, while values within MERGE_RTOL of the largest |value| of each other
+merge onto one.  Weights are plain sequences of int, Fraction or float.
+The module also carries the Gaussian reference quantities (norms, shifted
+moments, plus-part second moments) that the comparison certificates are
+checked against.
 """
 from __future__ import annotations
 
@@ -55,7 +56,14 @@ SUPPORT_GUARD = 10_000_000
 #: float atoms closer than this, relative to the largest |value|, are merged
 MERGE_RTOL = 1e-12
 
+#: integers below this stay in int64, with room for one doubling
 _INT64_SAFE = 2**62
+
+
+def _int_array(xs: list[int]) -> np.ndarray:
+    """Integers as int64 when every one is below _INT64_SAFE in size, else
+    as Python ints (object dtype)."""
+    return np.array(xs, dtype=np.int64 if max(map(abs, xs)) < _INT64_SAFE else object)
 
 
 def _as_fraction(x, what: str) -> Fraction:
@@ -116,39 +124,53 @@ def _check_atoms(pairs: Iterable[tuple[Scalar, Fraction]]):
 
 
 class SymmetricAtomLaw:
-    """Finite symmetric law with exact rational masses.
+    """Finite symmetric law with exact rational masses, held as one grid.
 
-    Built from its atom table of (value, mass) pairs, or by `_from_int_grid`
-    from an integer grid: values int_values / value_scale with masses
-    mass_nums / mass_den, in increasing order of value.
+    The grid is the values in increasing order with integer mass numerators
+    over one mass denominator.  Rational values are stored as integers over
+    one value scale; float or mixed values as floats, with scale None.  A
+    law built from its atom table keeps that table; one built by
+    `_from_grid`, as the convolutions do, builds it on first use.
     """
 
-    __slots__ = ("_atoms", "_grid")
+    __slots__ = ("_atoms", "_values", "_nums", "_den", "_scale")
 
     def __init__(self, atoms: Iterable[tuple[Scalar, Fraction]]):
         self._atoms = _check_atoms(atoms)
-        self._grid = None
+        values = [v for v, _ in self._atoms]
+        self._den = math.lcm(*(m.denominator for _, m in self._atoms))
+        self._nums = _int_array([m.numerator * (self._den // m.denominator)
+                                 for _, m in self._atoms])
+        if all(isinstance(v, Fraction) for v in values):
+            self._scale = math.lcm(*(v.denominator for v in values))
+            self._values = _int_array([int(v * self._scale) for v in values])
+        else:
+            self._scale = None
+            self._values = np.array([float(v) for v in values])
 
     @classmethod
-    def _from_int_grid(cls, int_values: list[int], mass_nums: list[int],
-                       mass_den: int, value_scale: int) -> "SymmetricAtomLaw":
-        if len(int_values) != len(mass_nums) or not int_values:
+    def _from_grid(cls, values: np.ndarray, nums: np.ndarray, den: int,
+                   scale: int | None) -> "SymmetricAtomLaw":
+        if len(values) != len(nums) or not len(values):
             raise ValueError("mismatched grid arrays")
-        if sum(mass_nums) != mass_den:
+        if not np.all(values[1:] > values[:-1]):
+            raise ValueError("grid values must be strictly increasing")
+        if nums.sum() != den:
             raise ValueError("grid masses must sum to exactly 1")
-        if int_values != [-x for x in reversed(int_values)] or mass_nums != mass_nums[::-1]:
+        if not (np.array_equal(values, -values[::-1]) and np.array_equal(nums, nums[::-1])):
             raise ValueError("grid law must be symmetric")
         self = object.__new__(cls)
         self._atoms = None
-        self._grid = (int_values, mass_nums, mass_den, value_scale)
+        self._values, self._nums, self._den, self._scale = values, nums, den, scale
         return self
 
     @property
     def atoms(self) -> tuple[tuple[Scalar, Fraction], ...]:
         if self._atoms is None:
-            int_values, mass_nums, den, scale = self._grid
-            self._atoms = tuple((Fraction(iv, scale), Fraction(num, den))
-                                for iv, num in zip(int_values, mass_nums))
+            scale = self._scale
+            self._atoms = tuple(
+                (v if scale is None else Fraction(v, scale), Fraction(num, self._den))
+                for v, num in zip(self._values.tolist(), self._nums.tolist()))
         return self._atoms
 
     @property
@@ -160,29 +182,24 @@ class SymmetricAtomLaw:
         return tuple(m for _, m in self.atoms)
 
     def __len__(self) -> int:
-        return len(self._atoms if self._grid is None else self._grid[0])
+        return len(self._values)
 
     @property
     def is_rational(self) -> bool:
-        return self._grid is not None or all(isinstance(v, Rational) for v, _ in self._atoms)
+        return self._scale is not None
 
     @property
     def zero_mass(self) -> Fraction:
-        if self._grid is None:
-            return self.mass_at(0)
         # a symmetric grid holds 0 exactly when it has an odd number of values
-        _, mass_nums, den, _ = self._grid
-        return Fraction(mass_nums[len(mass_nums) // 2], den) if len(mass_nums) % 2 else Fraction(0)
+        n = len(self._nums)
+        return Fraction(int(self._nums[n // 2]), self._den) if n % 2 else Fraction(0)
 
     def values_float(self) -> np.ndarray:
-        if self._grid is not None:
-            return np.array(self._grid[0], dtype=float) / float(self._grid[3])
-        return np.array([float(v) for v, _ in self._atoms], dtype=float)
+        return np.array(self._values, dtype=float) / float(self._scale or 1)
 
     def masses_float(self) -> np.ndarray:
-        if self._grid is not None:
-            return np.array(self._grid[1], dtype=float) / float(self._grid[2])
-        return np.array([float(m) for _, m in self._atoms], dtype=float)
+        # int / int is correctly rounded, as float(Fraction(num, den)) is
+        return np.array([num / self._den for num in self._nums.tolist()])
 
     def mass_at(self, v) -> Fraction:
         for value, m in self.atoms:
@@ -280,12 +297,11 @@ def law_from_json(text: str) -> SymmetricAtomLaw:
 
 def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:
     """E |X|^k, k >= 1, as an exact rational for a law with rational
-    support: by symmetry, twice the sum over the positive atoms."""
-    if law._grid is not None:
-        int_values, mass_nums, den, scale = law._grid
-        s = sum(num * iv**k for iv, num in zip(int_values, mass_nums) if iv > 0)
-        return Fraction(2 * s, den * scale**k)
-    return 2 * sum((m * v**k for v, m in law.atoms if v > 0), Fraction(0))
+    support: by symmetry, twice the sum over the positive atoms, which
+    are the upper half of the grid."""
+    pos = slice((len(law) + 1) // 2, None)
+    s = sum(num * iv**k for iv, num in zip(law._values[pos].tolist(), law._nums[pos].tolist()))
+    return Fraction(2 * s, law._den * law._scale**k)
 
 
 def second_moment(law: SymmetricAtomLaw) -> Scalar:
@@ -308,24 +324,17 @@ def first_abs_moment(law: SymmetricAtomLaw) -> Scalar:
     return float(np.dot(law.masses_float(), np.abs(law.values_float())))
 
 
-def _projected_support(laws, cap: int) -> int:
-    proj = 1
-    for law in laws:
-        proj *= len(law.atoms)
-        if proj > cap:
-            return proj
-    return proj
-
-
 def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
                       max_atoms: int = SUPPORT_GUARD) -> SymmetricAtomLaw:
     """Exact law of sum_i weights[i] * X_i for independent X_i ~ laws[i].
 
-    All-rational inputs use an integer-grid convolution (exact); any float
-    weight or float-valued law falls back to a float-keyed table whose
-    masses stay exact rationals but whose values are merged within
-    MERGE_RTOL * max|value|.  Instances whose projected support exceeds
-    max_atoms (default SUPPORT_GUARD) are rejected.
+    All-rational inputs use an integer-grid convolution (exact).  Any
+    float weight or float-valued law gives float values with exact integer
+    mass numerators: after each summand, every chain of values whose gaps
+    are at most MERGE_RTOL * max|value| merges onto its middle value, and
+    the result is re-symmetrized by pairing the k-th values from both ends.
+    Instances whose projected support exceeds max_atoms (default
+    SUPPORT_GUARD) are rejected.
     """
     laws = list(laws)
     if len(laws) != len(weights):
@@ -343,26 +352,12 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
 
 def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SymmetricAtomLaw:
     # Scale all weighted values onto one integer grid.
-    scaled: list[list[tuple[Fraction, Fraction]]] = []
-    denoms: set[int] = set()
-    for law, w in zip(laws, weights):
-        prods = [(w * Fraction(v), m) for v, m in law.atoms]
-        scaled.append(prods)
-        for p, _ in prods:
-            denoms.add(p.denominator)
-    scale = math.lcm(*denoms) if denoms else 1
-
-    kernels = []  # (offsets list[int], numerators list[int], mass denominator)
-    mass_den = 1
-    width = 1
-    for prods in scaled:
-        den = math.lcm(*[m.denominator for _, m in prods])
-        offs = [int(p * scale) for p, _ in prods]
-        nums = [int(m * den) for _, m in prods]
-        kernels.append((offs, nums, den))
-        mass_den *= den
-        width += 2 * max(abs(o) for o in offs)
-    projected = min(_projected_support(laws, max_atoms), width)
+    prods = [[w * v for v in law.values] for law, w in zip(laws, weights)]
+    scale = math.lcm(*(p.denominator for ps in prods for p in ps))
+    offsets = [[int(p * scale) for p in ps] for ps in prods]
+    mass_den = math.prod(law._den for law in laws)
+    width = 1 + 2 * sum(max(map(abs, offs)) for offs in offsets)
+    projected = min(math.prod(map(len, laws)), width)
     if projected > max_atoms:
         raise ValueError(
             f"projected support of {projected} atoms exceeds the guard of {max_atoms}"
@@ -370,93 +365,69 @@ def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> Symmetr
 
     if width > max_atoms:
         # The dense grid would outgrow the guard while the support does not:
-        # merge offsets in a dict, which never holds more entries than the
-        # product of the atom counts that the guard checked.
-        sparse = {0: 1}
-        for offs, nums, _ in kernels:
-            merged: dict[int, int] = {}
-            for x, c in sparse.items():
-                for o, num in zip(offs, nums):
-                    merged[x + o] = merged.get(x + o, 0) + c * num
-            sparse = merged
-        int_values = sorted(x for x, c in sparse.items() if c)
-        mass_nums = [sparse[x] for x in int_values]
-        return SymmetricAtomLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
+        # merge sorted offsets, never more of them than the product of the
+        # atom counts that the guard checked.
+        dtype = np.int64 if width < _INT64_SAFE else object
+        values, nums = _merge_outer(
+            [(np.array(offs, dtype=dtype), law._nums) for offs, law in zip(offsets, laws)],
+            mass_den, None, max_atoms)
+        return SymmetricAtomLaw._from_grid(values, nums, mass_den, scale)
 
-    use_int64 = mass_den <= _INT64_SAFE
-    dtype = np.int64 if use_int64 else object
-    acc = np.zeros(1, dtype=dtype)
-    acc[0] = 1
-    for offs, nums, _ in kernels:
+    dtype = np.int64 if mass_den <= _INT64_SAFE else object
+    acc = np.ones(1, dtype=dtype)
+    for offs, law in zip(offsets, laws):
         halfw = max(abs(o) for o in offs)
-        new_len = len(acc) + 2 * halfw
-        new = np.zeros(new_len, dtype=dtype)
-        for o, num in zip(offs, nums):
+        new = np.zeros(len(acc) + 2 * halfw, dtype=dtype)
+        for o, num in zip(offs, law._nums.tolist()):
             idx = o + halfw
             new[idx: idx + len(acc)] += acc * num
         acc = new
 
-    center = (len(acc) - 1) // 2
     nz = np.flatnonzero(acc)
-    int_values = [int(i) - center for i in nz]
-    mass_nums = [int(acc[i]) for i in nz]
-    return SymmetricAtomLaw._from_int_grid(int_values, mass_nums, mass_den, scale)
+    return SymmetricAtomLaw._from_grid(nz - (len(acc) - 1) // 2, acc[nz], mass_den, scale)
 
 
 def _convolve_float(laws, weights: list[float],
                     max_atoms: int = SUPPORT_GUARD) -> SymmetricAtomLaw:
-    table: dict[float, Fraction] = {0.0: Fraction(1)}
-    for law, w in zip(laws, weights):
-        if len(table) * len(law.atoms) > max_atoms:
-            raise ValueError(
-                f"projected support of {len(table) * len(law.atoms)} atoms "
-                f"exceeds the guard of {max_atoms}"
-            )
-        new: dict[float, Fraction] = {}
-        for v, m in table.items():
-            for u, mu in law.atoms:
-                key = v + w * float(u)
-                prev = new.get(key)
-                new[key] = m * mu if prev is None else prev + m * mu
-        table = _merge_close_atoms(new)
-    # Re-symmetrize exactly: keyed on |value|, pairing +-v.
-    pairs = sorted(table.items(), key=lambda kv: kv[0])
-    sym: list[tuple[Scalar, Fraction]] = []
-    i, j = 0, len(pairs) - 1
-    while i < j:
-        (vn, mn), (vp, mp) = pairs[i], pairs[j]
-        mass = (mn + mp) / 2
-        mag = (vp - vn) / 2.0
-        sym.append((-mag, mass))
-        sym.append((mag, mass))
-        i += 1
-        j -= 1
-    if i == j:
-        sym.append((0.0, pairs[i][1]))
-    return SymmetricAtomLaw(sym)
+    den = math.prod(law._den for law in laws)
+    values, nums = _merge_outer(
+        [(w * law.values_float(), law._nums) for law, w in zip(laws, weights)],
+        den, MERGE_RTOL, max_atoms)
+    # Re-symmetrize: the k-th values from both ends become -+ half their
+    # gap, each carrying the mean of their masses.
+    return SymmetricAtomLaw._from_grid((values - values[::-1]) / 2.0, nums + nums[::-1],
+                                       2 * den, None)
 
 
-def _merge_close_atoms(table: dict[float, Fraction]) -> dict[float, Fraction]:
-    if len(table) <= 1:
-        return table
-    vmax = max(abs(v) for v in table)
-    width = MERGE_RTOL * max(vmax, 1e-300)
-    items = sorted(table.items())
-    merged: dict[float, Fraction] = {}
-    cluster_vals = [items[0][0]]
-    cluster_mass = items[0][1]
-    for v, m in items[1:]:
-        if v - cluster_vals[-1] <= width:
-            cluster_vals.append(v)
-            cluster_mass += m
-        else:
-            rep = cluster_vals[len(cluster_vals) // 2]
-            merged[rep] = merged.get(rep, Fraction(0)) + cluster_mass
-            cluster_vals = [v]
-            cluster_mass = m
-    rep = cluster_vals[len(cluster_vals) // 2]
-    merged[rep] = merged.get(rep, Fraction(0)) + cluster_mass
-    return merged
+def _merge_outer(kernels, den: int, rtol: float | None, max_atoms: int):
+    """Sorted values and mass numerators over `den` of a sum of independent
+    summands, each given as (values, mass numerators).
+
+    Each step adds one summand by outer sums and products, sorts stably and
+    adds up the numerators of equal values.  With `rtol` (float values),
+    each chain of distinct values whose gaps are at most rtol * max|value|
+    then merges onto its middle value.  Numerators are int64 below
+    _INT64_SAFE, Python ints above.  A step whose outer product would
+    exceed max_atoms is rejected.
+    """
+    values = np.zeros(1, dtype=kernels[0][0].dtype)
+    nums = np.ones(1, dtype=np.int64 if den < _INT64_SAFE else object)
+    for k_values, k_nums in kernels:
+        size = len(values) * len(k_values)
+        if size > max_atoms:
+            raise ValueError(f"projected support of {size} atoms exceeds the guard of {max_atoms}")
+        values = np.add.outer(values, k_values).ravel()
+        nums = np.multiply.outer(nums, k_nums).ravel()
+        order = np.argsort(values, kind="stable")
+        values, nums = values[order], nums[order]
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        values, nums = values[starts], np.add.reduceat(nums, starts)
+        if rtol is not None:
+            width = rtol * max(np.abs(values).max(), 1e-300)
+            chains = np.flatnonzero(np.concatenate(([True], np.diff(values) > width)))
+            ends = np.append(chains[1:], len(values))
+            values, nums = values[(chains + ends) // 2], np.add.reduceat(nums, chains)
+    return values, nums
 
 
 class MomentMethod(str, Enum):

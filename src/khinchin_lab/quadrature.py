@@ -237,8 +237,8 @@ def integrate_khinchin_tail(
     genuinely periodic with that period (rational-support laws under
     rational weights; never float weights).  `rate_hint` bounds |d/dt| of
     the oscillatory part and seeds the subdivision so narrow features are
-    not missed by the panel rule; a periodic zone that would need more than
-    SEED_CAP seed panels of width pi/rate is reported as not converged.
+    not missed by the panel rule; a period whose zones would need more than
+    SEED_CAP seed panels of width pi/rate gives way to the aperiodic route.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -264,11 +264,18 @@ def integrate_khinchin_tail(
     def midf(ts):
         return fn(ts) / ts**2
 
-    if period_hint is not None:
+    periodic = period_hint is not None
+    if periodic:
         period = float(period_hint)
         if not (period > 0.0 and math.isfinite(period)):
             raise ValueError("period_hint must be a positive finite number")
         t_switch = max(12.0, period)
+        # Wider than pi/rate, seed panels can step over the integrand's
+        # features while the panel rule agrees with itself on them; the
+        # aperiodic route's truncation bound sup|g|/T needs no period.
+        periodic = max(_seed_count(t0, t_switch, seed_width),
+                       _seed_count(0.0, period, seed_width)) <= SEED_CAP
+    if periodic:
         mid = integrate_adaptive(
             midf, t0, t_switch, tol=0.4 * tol,
             max_depth=max_depth, max_evals=max(max_evals // 2, 10_000),
@@ -288,12 +295,7 @@ def integrate_khinchin_tail(
         raw_val = near_val + mid.value + tail.value
         raw_err = near_err + mid.abs_error + tail.abs_error
         evals += mid.evaluations + tail.evaluations
-        # Wider than pi/rate, seed panels can step over the integrand's
-        # features while the panel rule agrees with itself on them: a zone
-        # that needs more than SEED_CAP of them is not converged.
-        seeds_fit = max(_seed_count(t0, t_switch, seed_width),
-                        _seed_count(0.0, period, seed_width)) <= SEED_CAP
-        pieces_ok = mid.converged and tail.converged and seeds_fit
+        pieces_ok = mid.converged and tail.converged
     else:
         # Aperiodic: integrate outward in doubling blocks under sup|g|/T.
         raw_mid = 0.0

@@ -64,6 +64,34 @@ def enum_distribution(weights, atom_lists):
     return table
 
 
+def float_merge_distribution(weights, atom_lists, rtol):
+    """Atom list of sum_i w_i X_i with float weights, by the library's merge
+    rule written as a loop: after each summand, values (keyed as floats,
+    masses as Fractions) whose consecutive gaps are at most rtol * max|value|
+    merge onto the chain's middle value; the result pairs the k-th values
+    from both ends as -+ half their gap with the mean of their masses."""
+    table = {0.0: Fraction(1)}
+    for w, atoms in zip(weights, atom_lists):
+        new = {}
+        for v, m in table.items():
+            for u, mu in atoms:
+                key = v + w * float(u)
+                new[key] = new.get(key, Fraction(0)) + m * mu
+        items = sorted(new.items())
+        width = rtol * max(max(abs(v) for v, _ in items), 1e-300)
+        chains = [[items[0]]]
+        for prev, item in zip(items, items[1:]):
+            if item[0] - prev[0] <= width:
+                chains[-1].append(item)
+            else:
+                chains.append([item])
+        table = {c[len(c) // 2][0]: sum(m for _, m in c) for c in chains}
+    items = sorted(table.items())
+    n = len(items)
+    return [((items[i][0] - items[n - 1 - i][0]) / 2.0, (items[i][1] + items[n - 1 - i][1]) / 2)
+            for i in range(n)]
+
+
 def gaussian_abs_moment_quad(p, sigma=1.0):
     """E|G|^p by direct density integration (scipy.quad)."""
     def f(x):

@@ -151,6 +151,14 @@ def test_haagerup_dual_route(capsys):
     assert obj["pass"] is True
 
 
+def test_haagerup_wide_weights_past_seed_cap(capsys):
+    # a period too long for periodic seed panels takes the aperiodic route
+    code, out, err = run_cli(capsys, "haagerup", "--weights", "1/100003,1/100019,1/100043",
+                             "--rho0", "1/2", "--L", "1")
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
 # ---------------------------------------------------------------- necessity
 
 def test_necessity_battery(capsys):
@@ -210,21 +218,21 @@ def test_bad_inputs_exit_two(capsys):
 
 # ---------------------------------------------------------------- determinism
 
-def _run_subprocess(args, threads=None):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_subprocess(args):
     env = os.environ.copy()
-    if threads is not None:
-        env["KHINCHIN_LAB_THREADS"] = str(threads)
-    else:
-        env.pop("KHINCHIN_LAB_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "khinchin_lab.cli", *args],
                           capture_output=True, env=env)
 
 
-def test_byte_identical_across_thread_counts():
+def test_byte_identical_across_runs():
     args = ["verify", "--claim", "schur", "--rho0", "1/4", "--trials", "20"]
-    one = _run_subprocess(args, threads=1)
-    two = _run_subprocess(args, threads=2)
-    again = _run_subprocess(args, threads=2)
+    one = _run_subprocess(args)
+    two = _run_subprocess(args)
+    again = _run_subprocess(args)
     assert one.returncode == two.returncode == again.returncode == 0
     assert one.stdout == two.stdout == again.stdout
 

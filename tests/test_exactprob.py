@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
 from khinchin_lab.exactprob import (
+    MERGE_RTOL,
     GaussianRef,
     MomentMethod,
     StepLawParams,
@@ -157,6 +158,49 @@ def test_big_mass_denominators_fall_back_to_objects():
     s = convolve_weighted([law, law], [1, 1])
     expected = oracles.enum_distribution([1, 1], [list(law.atoms)] * 2)
     assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+
+
+@given(rho0=rho0s, L=st.integers(1, 3),
+       weights=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4))
+@example(rho0=Fraction(1, 2), L=1, weights=[0.1, 0.2, 0.3])
+def test_float_convolution_matches_loop_reference(rho0, L, weights):
+    law = make_step_law(StepLawParams(rho0, L))
+    s = convolve_weighted([law] * len(weights), weights)
+    want = oracles.float_merge_distribution(weights, [law.atoms] * len(weights), MERGE_RTOL)
+    assert s.atoms == tuple(want)
+
+
+def test_float_weights_match_rational_weights_atom_for_atom():
+    # 0.1 + 0.2 - 0.3 = 5.6e-17 in floats merges onto the exact sum's 0
+    law = make_step_law(StepLawParams(Fraction(1, 2), 1))
+    fl = convolve_weighted([law] * 3, [0.1, 0.2, 0.3])
+    ex = convolve_weighted([law] * 3, [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)])
+    assert len(fl) == len(ex)
+    assert fl.masses == ex.masses
+    assert np.allclose(fl.values_float(), ex.values_float(), rtol=0, atol=1e-15)
+    assert 0.0 in fl.values and fl.zero_mass == ex.zero_mass
+
+
+def test_float_merge_guards_each_merged_step():
+    # 3^8 = 6561 atom combinations merge onto 17 values; the guard checks
+    # each step's outer product (at most 15 * 3), not the full product
+    law = make_step_law(StepLawParams(Fraction(1, 3), 1))
+    assert len(law) ** 8 == 6561
+    s = convolve_weighted([law] * 8, [1.0] * 8, max_atoms=100)
+    assert s.values == tuple(float(v) for v in range(-8, 9))
+    with pytest.raises(ValueError, match="guard"):
+        convolve_weighted([law] * 8, [1.0] * 8, max_atoms=10)
+
+
+def test_big_mass_denominators_in_float_convolution():
+    # mass denominator product 2^82 takes Python-int numerators
+    tiny = Fraction(1, 2 ** 41)
+    law = make_symmetric_law(1 - 2 * tiny, {1: tiny})
+    fl = convolve_weighted([law, law], [1.0, 1.0])
+    ex = convolve_weighted([law, law], [1, 1])
+    assert sum(fl.masses) == 1
+    assert fl.masses == ex.masses
+    assert fl.values == tuple(float(v) for v in ex.values)
 
 
 def test_support_guard():

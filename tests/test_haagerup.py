@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from khinchin_lab.exactprob import StepLawParams, first_abs_moment, make_step_law
+from khinchin_lab.exactprob import StepLawParams, convolve_weighted, first_abs_moment, make_step_law
 from khinchin_lab.haagerup import (
     CharFn,
     charfn,
@@ -90,12 +90,14 @@ def test_first_abs_moment_integral_matches_enumeration():
     assert res.value == pytest.approx(209 / 192, abs=1e-8)
 
 
-def test_periodic_tail_past_seed_cap_is_not_converged():
-    # period ~6e15 against features near t ~ 1/rate ~ 3e4: the seed panels
-    # would be ~3e11 wide, and the value (1.4e-9) is far from E|S| = 9.4e-6
+def test_periodic_tail_past_seed_cap_takes_aperiodic_route():
+    # period ~6e15 against features near t ~ 1/rate ~ 3e4: periodic seed
+    # panels would be ~3e11 wide, so the doubling blocks run instead
     w = [Fraction(1, 100003), Fraction(1, 100019), Fraction(1, 100043)]
+    exact = float(first_abs_moment(convolve_weighted([HALF] * 3, w)))
     res = first_abs_moment_integral(w, HALF)
-    assert not res.converged
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
 
 
 def test_first_abs_moment_integral_irrational_weights():
