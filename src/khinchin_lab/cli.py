@@ -265,7 +265,7 @@ def _cmd_haagerup(config: RunConfig) -> int:
         passed=bool(diff <= agree_tol and res.converged),
         margin=agree_tol - diff,
         witness={"integral": res.value, "integral_err": res.abs_error,
-                 "enumeration": enum, "difference": diff},
+                 "enumeration": enum, "difference": diff, "converged": res.converged},
     )
     return _finish([report], config)
 
@@ -382,7 +382,8 @@ def _add_common(sp, fmt_default="json"):
     sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
     sp.add_argument("--out", default=None)
     sp.add_argument("--budget", type=int, default=None,
-                    help="cap on integrand evaluations and enumeration atoms")
+                    help="cap on integrand evaluations, and on the entries any one "
+                         "convolution step may allocate")
 
 
 @functools.cache

@@ -6,9 +6,13 @@ mass numerators over one mass denominator.  Rational values are integers
 over one value scale, so the exact convolutions stay in machine integers;
 float or mixed values are floats.  Probability masses are exact rationals
 throughout, so convolution and integer-order absolute moments of rational
-laws are exact.  A sum with any float weight or float value keeps exact
-masses, while values within MERGE_RTOL of the largest |value| of each other
-merge onto one.  Weights are plain sequences of int, Fraction or float.
+laws are exact.  One kernel, `_merge_outer`, adds the summands of every
+weighted sum in turn; an integer step reduces on a dense grid over its span
+or by sort-merging its outer sums, whichever array is smaller, and the
+support guard bounds that array before it is allocated.  A sum with any
+float weight or float value keeps exact masses, while values within
+MERGE_RTOL of the largest |value| of each other merge onto one.  Weights
+are plain sequences of int, Fraction or float.
 The module also carries the Gaussian reference quantities (norms, shifted
 moments, plus-part second moments) that the comparison certificates are
 checked against.
@@ -50,7 +54,8 @@ __all__ = [
 
 Scalar = Union[int, float, Fraction]
 
-#: convolutions whose projected support exceeds this many atoms are rejected
+#: entries any one convolution step may allocate: the outer product of its
+#: atoms, or for integer values the dense grid over its span when smaller
 SUPPORT_GUARD = 10_000_000
 
 #: float atoms closer than this, relative to the largest |value|, are merged
@@ -328,13 +333,15 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
                       max_atoms: int = SUPPORT_GUARD) -> SymmetricAtomLaw:
     """Exact law of sum_i weights[i] * X_i for independent X_i ~ laws[i].
 
-    All-rational inputs use an integer-grid convolution (exact).  Any
-    float weight or float-valued law gives float values with exact integer
-    mass numerators: after each summand, every chain of values whose gaps
-    are at most MERGE_RTOL * max|value| merges onto its middle value, and
-    the result is re-symmetrized by pairing the k-th values from both ends.
-    Instances whose projected support exceeds max_atoms (default
-    SUPPORT_GUARD) are rejected.
+    Each summand becomes a kernel of weighted values with the law's integer
+    mass numerators, and `_merge_outer` adds the kernels in order.
+    All-rational inputs give integer values on one scale, so the law is
+    exact.  Any float weight or float-valued law gives float values with
+    exact integer mass numerators: after each summand, every chain of values
+    whose gaps are at most MERGE_RTOL * max|value| merges onto its middle
+    value, and the result is re-symmetrized by pairing the k-th values from
+    both ends.  A step that would allocate more than max_atoms entries
+    (default SUPPORT_GUARD) is rejected before it allocates them.
     """
     laws = list(laws)
     if len(laws) != len(weights):
@@ -345,53 +352,20 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
     rational = rational and all(law.is_rational for law in laws)
     if max_atoms < 1:
         raise ValueError("max_atoms must be positive")
+    den = math.prod(law._den for law in laws)
     if rational:
-        return _convolve_rational(laws, [Fraction(w) for w in weights], max_atoms)
-    return _convolve_float(laws, [float(w) for w in weights], max_atoms)
-
-
-def _convolve_rational(laws, weights: list[Fraction], max_atoms: int) -> SymmetricAtomLaw:
-    # Scale all weighted values onto one integer grid.
-    prods = [[w * v for v in law.values] for law, w in zip(laws, weights)]
-    scale = math.lcm(*(p.denominator for ps in prods for p in ps))
-    offsets = [[int(p * scale) for p in ps] for ps in prods]
-    mass_den = math.prod(law._den for law in laws)
-    width = 1 + 2 * sum(max(map(abs, offs)) for offs in offsets)
-    projected = min(math.prod(map(len, laws)), width)
-    if projected > max_atoms:
-        raise ValueError(
-            f"projected support of {projected} atoms exceeds the guard of {max_atoms}"
-        )
-
-    if width > max_atoms:
-        # The dense grid would outgrow the guard while the support does not:
-        # merge sorted offsets, never more of them than the product of the
-        # atom counts that the guard checked.
+        # Scale all weighted values onto one integer grid.
+        prods = [[w * v for v in law.values] for law, w in zip(laws, map(Fraction, weights))]
+        scale = math.lcm(*(p.denominator for ps in prods for p in ps))
+        offsets = [[int(p * scale) for p in ps] for ps in prods]
+        width = 1 + 2 * sum(max(map(abs, offs)) for offs in offsets)
         dtype = np.int64 if width < _INT64_SAFE else object
         values, nums = _merge_outer(
             [(np.array(offs, dtype=dtype), law._nums) for offs, law in zip(offsets, laws)],
-            mass_den, None, max_atoms)
-        return SymmetricAtomLaw._from_grid(values, nums, mass_den, scale)
-
-    dtype = np.int64 if mass_den <= _INT64_SAFE else object
-    acc = np.ones(1, dtype=dtype)
-    for offs, law in zip(offsets, laws):
-        halfw = max(abs(o) for o in offs)
-        new = np.zeros(len(acc) + 2 * halfw, dtype=dtype)
-        for o, num in zip(offs, law._nums.tolist()):
-            idx = o + halfw
-            new[idx: idx + len(acc)] += acc * num
-        acc = new
-
-    nz = np.flatnonzero(acc)
-    return SymmetricAtomLaw._from_grid(nz - (len(acc) - 1) // 2, acc[nz], mass_den, scale)
-
-
-def _convolve_float(laws, weights: list[float],
-                    max_atoms: int = SUPPORT_GUARD) -> SymmetricAtomLaw:
-    den = math.prod(law._den for law in laws)
+            den, None, max_atoms)
+        return SymmetricAtomLaw._from_grid(values, nums, den, scale)
     values, nums = _merge_outer(
-        [(w * law.values_float(), law._nums) for law, w in zip(laws, weights)],
+        [(float(w) * law.values_float(), law._nums) for law, w in zip(laws, weights)],
         den, MERGE_RTOL, max_atoms)
     # Re-symmetrize: the k-th values from both ends become -+ half their
     # gap, each carrying the mean of their masses.
@@ -403,19 +377,38 @@ def _merge_outer(kernels, den: int, rtol: float | None, max_atoms: int):
     """Sorted values and mass numerators over `den` of a sum of independent
     summands, each given as (values, mass numerators).
 
-    Each step adds one summand by outer sums and products, sorts stably and
-    adds up the numerators of equal values.  With `rtol` (float values),
-    each chain of distinct values whose gaps are at most rtol * max|value|
-    then merges onto its middle value.  Numerators are int64 below
-    _INT64_SAFE, Python ints above.  A step whose outer product would
-    exceed max_atoms is rejected.
+    Each step adds one summand and reduces its sums to distinct values
+    through whichever array is smaller.  Integer values (no `rtol`) whose
+    span is at most the outer size use a dense grid over that span: the
+    previous step, spread over its own span, is added in shifted slices,
+    one per kernel value, and the nonzero cells are kept.  Other steps take
+    outer sums and products, sort stably and add up the numerators of equal
+    values; with `rtol` (float values), each chain of distinct values whose
+    gaps are at most rtol * max|value| then merges onto its middle value.
+    Numerators are int64 below _INT64_SAFE, Python ints above.  A step whose
+    array, min(outer size, span) for integers and the outer size for
+    floats, would exceed max_atoms is rejected before it is allocated.
     """
     values = np.zeros(1, dtype=kernels[0][0].dtype)
     nums = np.ones(1, dtype=np.int64 if den < _INT64_SAFE else object)
     for k_values, k_nums in kernels:
         size = len(values) * len(k_values)
-        if size > max_atoms:
-            raise ValueError(f"projected support of {size} atoms exceeds the guard of {max_atoms}")
+        span = size + 1  # float values have no grid, so only integer steps go dense
+        if rtol is None:
+            lo, k_lo = values[0], k_values.min()
+            span = int(values[-1] - lo + k_values.max() - k_lo) + 1
+        need = min(size, span)
+        if need > max_atoms:
+            raise ValueError(f"projected support of {need} atoms exceeds the guard of {max_atoms}")
+        if span <= size:
+            prev = np.zeros(int(values[-1] - lo) + 1, dtype=nums.dtype)
+            prev[(values - lo).astype(np.intp)] = nums
+            grid = np.zeros(span, dtype=nums.dtype)
+            for o, num in zip((k_values - k_lo).tolist(), k_nums.tolist()):
+                grid[o: o + len(prev)] += prev * num
+            cells = np.flatnonzero(grid)
+            values, nums = cells + (lo + k_lo), grid[cells]
+            continue
         values = np.add.outer(values, k_values).ravel()
         nums = np.multiply.outer(nums, k_nums).ravel()
         order = np.argsort(values, kind="stable")

@@ -148,7 +148,18 @@ def test_haagerup_dual_route(capsys):
     assert code == 0
     assert obj["claim"] == "abs-moment-dual-route"
     assert obj["witness"]["enumeration"] == "209/192"
+    assert obj["witness"]["converged"] is True
     assert obj["pass"] is True
+
+
+def test_haagerup_witness_shows_unconverged_integral(capsys):
+    # the Taylor zone's error floor (1.65e-10) sits above tol 1e-10
+    code, out, err = run_cli(capsys, "haagerup", "--weights", "1,1/3,2/7",
+                             "--rho0", "1/2", "--L", "2", "--tol", "1e-10")
+    obj = json.loads(out)
+    assert code == 1, err
+    assert obj["pass"] is False
+    assert obj["witness"]["converged"] is False
 
 
 def test_haagerup_wide_weights_past_seed_cap(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,8 @@ from khinchin_lab.exactprob import (
 
 rationals = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(4),
                          max_denominator=6)
+signed_rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
+                                max_denominator=6)
 rho0s = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 
 
@@ -106,7 +109,8 @@ def test_convolution_matches_enumeration_exactly():
 
 
 @given(rho0=rho0s, L=st.integers(1, 3),
-       weights=st.lists(rationals, min_size=1, max_size=4))
+       weights=st.lists(signed_rationals, min_size=1, max_size=4))
+@example(rho0=Fraction(1, 2), L=2, weights=[Fraction(-1), Fraction(0), Fraction(1, 2)])
 def test_convolution_distribution_property(rho0, L, weights):
     atoms = oracles.step_atoms(rho0, L)
     s = convolve_weighted([make_step_law(StepLawParams(rho0, L))] * len(weights), weights)
@@ -221,14 +225,55 @@ def test_wide_sparse_grid_merges_without_dense_allocation():
     assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
 
 
-def test_sparse_merge_matches_dense_grid():
-    # width 623 > max_atoms 100 >= support 27 takes the sparse merge
+def test_sparse_merge_matches_enumeration():
+    # every step's span exceeds its outer size (3, 9, 27 atoms), so each
+    # step sort-merges
     law = make_step_law(StepLawParams(Fraction(1, 2), 1))
     weights = [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)]
-    sparse = convolve_weighted([law] * 3, weights, max_atoms=100)
-    dense = convolve_weighted([law] * 3, weights)
-    assert sparse.atoms == dense.atoms
-    assert abs_moment(sparse, 3).exact == abs_moment(dense, 3).exact
+    atoms = [oracles.step_atoms(Fraction(1, 2), 1)] * 3
+    s = convolve_weighted([law] * 3, weights, max_atoms=100)
+    expected = oracles.enum_distribution(weights, atoms)
+    assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+    assert abs_moment(s, 3).exact == oracles.enum_abs_moment(weights, atoms, 3)
+
+
+def test_guard_checks_each_step_not_the_whole_width():
+    # the whole sum spans 233 grid cells over 4^4 = 256 atom combinations,
+    # but the largest step sort-merges 36 values by 4 atoms, 144 entries
+    law = make_step_law(StepLawParams(Fraction(0), 2))
+    weights = [1, 1, Fraction(6, 5), Fraction(2, 3)]
+    s = convolve_weighted([law] * 4, weights, max_atoms=200)
+    expected = oracles.enum_distribution(weights, [oracles.step_atoms(0, 2)] * 4)
+    assert len(s) == 88
+    assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+    assert len(convolve_weighted([law] * 4, weights, max_atoms=144)) == 88
+    with pytest.raises(ValueError, match="144 atoms exceeds the guard"):
+        convolve_weighted([law] * 4, weights, max_atoms=143)
+
+
+def test_dense_step_answers_at_the_default_guard():
+    # the second step's outer size is 10001^2 = 1e8, its span only 20001
+    law = make_step_law(StepLawParams(Fraction(1, 2), 5000))
+    s = convolve_weighted([law] * 2, [1, 1])
+    assert len(s) == 20_001
+    assert sum(s.masses) == 1
+    assert s.zero_mass == Fraction(1, 4) + 5000 * Fraction(1, 20_000) ** 2 * 2
+    with pytest.raises(ValueError, match="20001 atoms exceeds the guard"):
+        convolve_weighted([law] * 2, [1, 1], max_atoms=20_000)
+
+
+def test_dense_steps_allocate_their_span_not_the_outer_product():
+    # outer products of 3001 * 3001 and 6001 * 3001 atoms would take
+    # hundreds of MiB; the dense grids span 6001 and 9001 cells
+    law = make_step_law(StepLawParams(Fraction(1, 2), 1500))
+    tracemalloc.start()
+    try:
+        s = convolve_weighted([law] * 3, [1, 1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 9001
+    assert peak < 16 * 2**20
 
 
 def test_mismatched_lengths_rejected():
