@@ -9,6 +9,16 @@ majorization sampling with exact rational weight pairs, the exact
 two-point reduction of the derivative criterion, the Gaussian comparison
 verdict, and the zero-mass thresholds that mark where each mechanism
 stops working.
+
+Phi needs no merged law: for a law with k atoms and n weights it is the
+sum over the k^n atom patterns P (one atom per coordinate) of
+mass(P) |sum_i sqrt(a_i) v_(P_i)|^p.  One batched kernel,
+`_schur_objectives`, evaluates it for many weight vectors at once in blocks
+of at most _PATTERN_BLOCK entries, so each verdict makes one call for all
+its objectives (Marshall, Olkin and Arnold, Inequalities: Theory of
+Majorization and Its Applications, 2nd ed., 2011, Thm 3.A.4, for the
+criterion).  While k^n <= SUPPORT_GUARD the patterns are enumerated; past
+it each vector takes the exact convolution, which merges equal sums.
 """
 from __future__ import annotations
 
@@ -22,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactprob import (
+    SUPPORT_GUARD,
     SymmetricAtomLaw,
     StepLawParams,
     abs_moment,
@@ -48,7 +59,13 @@ __all__ = [
 ]
 
 
+#: entries the pattern kernel holds at once, over rows and patterns
+_PATTERN_BLOCK = 1 << 16
+
+
 def _as_weight(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("majorization pairs must use exact rational weights")
     return Fraction(x)
@@ -72,18 +89,23 @@ class MajorizationPair:
         object.__setattr__(self, "lower", lower)
         if len(upper) != len(lower):
             raise ValueError("majorization pair components must have equal length")
-        if any(x < 0 for x in upper + lower):
+        # exact prefix sums, as integer numerators over one denominator
+        den = math.lcm(*(x.denominator for x in upper + lower))
+        us = [x.numerator * (den // x.denominator) for x in upper]
+        ls = [x.numerator * (den // x.denominator) for x in lower]
+        if any(x < 0 for x in us + ls):
             raise ValueError("weights must be nonnegative")
-        us = sorted(upper, reverse=True)
-        ls = sorted(lower, reverse=True)
-        pu = pl = Fraction(0)
+        us.sort(reverse=True)
+        ls.sort(reverse=True)
+        pu = pl = 0
         for k, (u, l) in enumerate(zip(us, ls)):
             pu += u
             pl += l
             if pu < pl:
-                raise ValueError(f"prefix sum {k + 1} violates majorization: {pu} < {pl}")
+                raise ValueError(f"prefix sum {k + 1} violates majorization: "
+                                 f"{Fraction(pu, den)} < {Fraction(pl, den)}")
         if pu != pl:
-            raise ValueError(f"totals differ: {pu} != {pl}")
+            raise ValueError(f"totals differ: {Fraction(pu, den)} != {Fraction(pl, den)}")
 
 
 @dataclass(frozen=True)
@@ -94,18 +116,78 @@ class SchurVerdict:
     trials: int = 0
 
 
-def schur_objective(a: Sequence, law: SymmetricAtomLaw, p: float) -> float:
-    """Phi(a) = E|sum_i sqrt(a_i) X_i|^p for i.i.d. X_i ~ law."""
-    if len(a) == 0:
+def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
+    """Phi(a) = E|sum_i sqrt(a_i) X_i|^p, i.i.d. X_i ~ law, for each row a
+    of the (B, n) squared weights `rows`.
+
+    With k atoms, Phi(a) is the sum over the k^n atom patterns P of
+    mass(P) |sum_i sqrt(a_i) v_(P_i)|^p.  The patterns split into head x
+    tail: the tail is the last t coordinates, t as large as k^t <=
+    _PATTERN_BLOCK allows, and its sums are built once per block of rows.  A
+    block is a run of head patterns times every tail pattern, with sums and
+    masses made for that block only, so memory stays bounded whatever k^n
+    is.  Each row sums a block's terms with one `.sum` and adds the block
+    sums in pattern order; the blocks depend on k and n alone, so a row's
+    value does not depend on the rows batched with it.  Past k^n >
+    SUPPORT_GUARD each row takes the convolution and float moment instead,
+    which merge equal sums.
+    """
+    a = np.array(rows, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("rows must be a two-dimensional array of squared weights")
+    n_rows, n = a.shape
+    if n == 0:
         raise ValueError("need at least one weight")
-    af = [float(x) for x in a]
-    if any(x < 0 for x in af):
+    if np.any(a < 0):
         raise ValueError("squared weights must be nonnegative")
     if not (p >= 1):
         raise ValueError(f"p must satisfy p >= 1, got {p!r}")
-    weights = [math.sqrt(x) for x in af]
-    s = convolve_weighted([law] * len(weights), weights)
-    return abs_moment(s, p, mode="float").value
+    roots = np.sqrt(a)
+    vals, masses = law.values_float(), law.masses_float()
+    k = len(vals)
+    if k**n > SUPPORT_GUARD:
+        return np.array([abs_moment(convolve_weighted([law] * n, row), p, mode="float").value
+                         for row in roots.tolist()])
+    pf = float(p)
+    t = n
+    while k**t > _PATTERN_BLOCK:
+        t -= 1
+    head = n - t
+    tail_size, head_size = k**t, k**head
+    per_block = min(head_size, max(1, _PATTERN_BLOCK // tail_size))  # head patterns
+    row_block = max(1, _PATTERN_BLOCK // (per_block * tail_size))
+    tail_mass = np.ones(1)
+    for _ in range(t):
+        tail_mass = np.multiply.outer(tail_mass, masses).ravel()
+    out = np.empty(n_rows)
+    for r0 in range(0, n_rows, row_block):
+        w = roots[r0:r0 + row_block]
+        tail = np.zeros((len(w), 1))
+        for i in range(head, n):
+            tail = (tail[:, :, None] + w[:, i, None, None] * vals).reshape(len(w), -1)
+        total = np.zeros(len(w))
+        for j0 in range(0, head_size, per_block):
+            js = np.arange(j0, min(j0 + per_block, head_size))
+            sums = np.zeros((len(w), len(js)))
+            mass = np.ones(len(js))
+            for i in range(head):
+                digit = js // k**(head - 1 - i) % k
+                sums += w[:, i, None] * vals[digit]
+                mass *= masses[digit]
+            terms = np.abs(sums[:, :, None] + tail[:, None, :]) ** pf
+            terms *= np.multiply.outer(mass, tail_mass)
+            total += terms.reshape(len(w), -1).sum(axis=1)
+        out[r0:r0 + row_block] = total
+    return out
+
+
+def schur_objective(a: Sequence, law: SymmetricAtomLaw, p: float) -> float:
+    """Phi(a) = E|sum_i sqrt(a_i) X_i|^p for i.i.d. X_i ~ law.
+
+    One row of `_schur_objectives`: a sum over the k^n atom patterns while
+    k^n <= SUPPORT_GUARD, else the exact convolution's float moment.
+    """
+    return float(_schur_objectives([[float(x) for x in a]], law, p)[0])
 
 
 def ostrowski_check(a: Sequence, law: SymmetricAtomLaw, p: float,
@@ -127,13 +209,15 @@ def ostrowski_check(a: Sequence, law: SymmetricAtomLaw, p: float,
         h = 1e-6 * amin
     if not (0 < h < 0.25 * amin):
         raise ValueError(f"step h = {h!r} too large for smallest weight {amin!r}")
-    partials = []
+    rows = []
     for i in range(len(af)):
         hi = af.copy()
         lo = af.copy()
         hi[i] += h
         lo[i] -= h
-        partials.append((schur_objective(hi, law, p) - schur_objective(lo, law, p)) / (2 * h))
+        rows += [hi, lo]
+    phi = _schur_objectives(rows, law, p).tolist()
+    partials = [(up - dn) / (2 * h) for up, dn in zip(phi[0::2], phi[1::2])]
     worst = math.inf
     witness = None
     for i in range(len(af)):
@@ -178,7 +262,10 @@ def majorization_sample_test(n: int, law: SymmetricAtomLaw, p: float,
     vectors, average two coordinates (a T-transform, which the sampled
     vector majorizes), and require the objective not to drop by more than
     1e-9 of its scale.  Per-trial generators are pre-seeded so the run is
-    reproducible regardless of evaluation order.
+    reproducible regardless of evaluation order.  Every trial's pair is
+    drawn and validated first and only its float rows kept; all 2 * trials
+    objectives come from one `_schur_objectives` call, and the witness, the
+    first trial with the smallest margin, is drawn again from its seed.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -186,22 +273,29 @@ def majorization_sample_test(n: int, law: SymmetricAtomLaw, p: float,
         raise ValueError("need at least one trial")
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**63) for _ in range(trials)]
+    rows = np.empty((2 * trials, n))
+    for t, ts in enumerate(trial_seeds):
+        pair = _draw_pair(ts, n)
+        # float(x) for a Fraction, without its dispatch through numbers
+        rows[2 * t] = [x.numerator / x.denominator for x in pair.upper]
+        rows[2 * t + 1] = [x.numerator / x.denominator for x in pair.lower]
+    phi = _schur_objectives(rows, law, p).tolist()
     worst = math.inf
-    witness = None
-    for ts in trial_seeds:
-        rng = random.Random(ts)
-        a = _random_weights(rng, n)
-        b = _t_transform(rng, a)
-        pair = MajorizationPair(upper=a, lower=b)
-        phi_u = schur_objective(a, law, p)
-        phi_l = schur_objective(b, law, p)
-        scale = max(1.0, phi_u, phi_l)
-        margin = (phi_l - phi_u) / scale
+    witness_seed = None
+    for ts, phi_u, phi_l in zip(trial_seeds, phi[0::2], phi[1::2]):
+        margin = (phi_l - phi_u) / max(1.0, phi_u, phi_l)
         if margin < worst:
             worst = margin
-            witness = pair
+            witness_seed = ts
+    witness = None if witness_seed is None else _draw_pair(witness_seed, n)
     return SchurVerdict(passed=worst >= -1e-9, worst_margin=worst,
                         witness_pair=witness, trials=trials)
+
+
+def _draw_pair(trial_seed: int, n: int) -> MajorizationPair:
+    rng = random.Random(trial_seed)
+    a = _random_weights(rng, n)
+    return MajorizationPair(upper=a, lower=_t_transform(rng, a))
 
 
 def _infer_step_params(law: SymmetricAtomLaw) -> tuple[Fraction, int] | None:
@@ -360,12 +454,15 @@ def schur_zero_mass_threshold() -> Fraction:
     both sides numerically before returning; raises if the sign pattern
     disagrees.
     """
+    lams = (1e-4, 1e-5)
     for rho, expect_pos in ((Fraction(2, 5), True), (Fraction(3, 5), False)):
-        law = make_symmetric_three_point(rho)
-        for lam in (1e-4, 1e-5):
+        rows = []
+        for lam in lams:
             h = 0.25 * lam
-            up = schur_objective([lam + h, 1 - lam - h], law, 3)
-            dn = schur_objective([lam - h, 1 - lam + h], law, 3)
+            rows += [[lam + h, 1 - lam - h], [lam - h, 1 - lam + h]]
+        phi = _schur_objectives(rows, make_symmetric_three_point(rho), 3).tolist()
+        for lam, up, dn in zip(lams, phi[0::2], phi[1::2]):
+            h = 0.25 * lam
             slope = (up - dn) / (2 * h)
             if (slope > 0) != expect_pos:
                 raise ArithmeticError(

@@ -276,6 +276,52 @@ def test_dense_steps_allocate_their_span_not_the_outer_product():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("weights", [[7, 1], [1, 7], [7, 0, 1], [0, -7, 1]])
+def test_dense_step_loops_over_either_side(weights):
+    # [7, 1]: the second step spreads its 7-cell kernel and loops over the
+    # first step's 7 atoms (49 cell adds), not over its 43-cell span 7 times;
+    # a zero weight puts every kernel atom on one cell
+    law = make_step_law(StepLawParams(Fraction(1, 2), 3))
+    s = convolve_weighted([law] * len(weights), weights)
+    atoms = oracles.step_atoms(Fraction(1, 2), 3)
+    expected = oracles.enum_distribution(weights, [atoms] * len(weights))
+    assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+
+
+def test_dense_step_order_gives_the_same_grid():
+    law = make_step_law(StepLawParams(Fraction(1, 2), 300))
+    a = convolve_weighted([law] * 2, [601, 1])
+    b = convolve_weighted([law] * 2, [1, 601])
+    assert len(a) == 361_201
+    assert np.array_equal(a._values, b._values) and np.array_equal(a._nums, b._nums)
+
+
+def test_offsets_from_integer_grids_match_fraction_products():
+    # a summed law keeps an unreduced grid (values -2, 0, 2 over scale 2)
+    half = convolve_weighted([make_step_law(StepLawParams(Fraction(1, 3), 1))] * 2,
+                             [Fraction(1, 2), Fraction(1, 2)])
+    laws = [half, make_step_law(StepLawParams(Fraction(1), 1)),
+            make_symmetric_law(Fraction(1, 5), {Fraction(3, 7): Fraction(2, 5)}),
+            make_step_law(StepLawParams(Fraction(1, 4), 2))]
+    weights = [Fraction(-4, 9), 5, Fraction(14, 3), Fraction(0)]
+    s = convolve_weighted(laws, weights)
+    prods = [Fraction(w) * v for law, w in zip(laws, weights) for v in law.values]
+    assert s._scale == math.lcm(*(x.denominator for x in prods))
+    expected = oracles.enum_distribution(weights, [list(law.atoms) for law in laws])
+    assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+
+
+def test_dense_step_keeps_object_values_past_int64():
+    # the zero weight's step goes dense on a one-cell span; its values must
+    # stay Python ints for the next step's offsets near 1.2e19
+    law = make_step_law(StepLawParams(Fraction(1, 2), 4))
+    weights = [0, Fraction(3073975003197261181, 23)]
+    s = convolve_weighted([law] * 2, weights)
+    expected = oracles.enum_distribution(weights, [oracles.step_atoms(Fraction(1, 2), 4)] * 2)
+    assert s._values.dtype == object
+    assert dict(s.atoms) == {v: m for v, m in expected.items() if m > 0}
+
+
 def test_mismatched_lengths_rejected():
     law = make_step_law(StepLawParams(Fraction(0), 1))
     with pytest.raises(ValueError):

@@ -1,13 +1,18 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from khinchin_lab import schur
 from khinchin_lab.exactprob import (
     StepLawParams,
+    abs_moment,
+    convolve_weighted,
     gaussian_norm,
     make_step_law,
 )
@@ -25,6 +30,7 @@ from khinchin_lab.schur import (
     two_point_schur_check,
     verify_gaussian_comparison,
 )
+from khinchin_lab.schur import _random_weights, _schur_objectives, _t_transform
 
 COIN = make_symmetric_three_point(0)
 POINT_MASS = make_step_law(StepLawParams(Fraction(1), 1))  # W identically 0
@@ -56,6 +62,82 @@ def test_objective_validation():
         schur_objective([-0.1, 1.1], COIN, 3)
     with pytest.raises(ValueError):
         schur_objective([1, 1], COIN, 0.5)
+    with pytest.raises(ValueError):
+        _schur_objectives([0.5, 0.5], COIN, 3)
+
+
+def _convolution_objective(a, law, p):
+    """Phi(a) by the merged law of the weighted sum, the reference route."""
+    weights = [math.sqrt(float(x)) for x in a]
+    return abs_moment(convolve_weighted([law] * len(a), weights), p, mode="float").value
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n), min_size=1, max_size=3)),
+       rho0=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)]),
+       L=st.integers(1, 2), p=st.sampled_from([3, 3.5, 4]))
+def test_pattern_kernel_matches_enumeration(rows, rho0, L, p):
+    law = make_step_law(StepLawParams(rho0, L))
+    got = _schur_objectives(rows, law, p)
+    for row, phi in zip(rows, got.tolist()):
+        want = oracles.enum_abs_moment_float([math.sqrt(x) for x in row],
+                                             [oracles.step_atoms(rho0, L)] * len(row), p)
+        assert phi == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("block", [None, 1, 16, 100])
+def test_pattern_kernel_rows_independent_of_their_batch(monkeypatch, block):
+    # tiny blocks split rows and patterns (head x tail) into many pieces;
+    # every row must still give the bits of its own one-row call
+    if block is not None:
+        monkeypatch.setattr(schur, "_PATTERN_BLOCK", block)
+    law = make_step_law(StepLawParams(Fraction(1, 4), 1))
+    rng = random.Random(11)
+    rows = [[rng.uniform(0.01, 1.0) for _ in range(5)] for _ in range(9)]
+    alone = [schur_objective(row, law, 3.5) for row in rows]
+    assert _schur_objectives(rows, law, 3.5).tolist() == alone
+    order = list(range(9))
+    rng.shuffle(order)
+    shuffled = _schur_objectives([rows[i] for i in order], law, 3.5).tolist()
+    assert shuffled == [alone[i] for i in order]
+    assert _schur_objectives(rows[2:5], law, 3.5).tolist() == alone[2:5]
+    for row, phi in zip(rows, alone):
+        want = oracles.enum_abs_moment_float([math.sqrt(x) for x in row],
+                                             [oracles.step_atoms(Fraction(1, 4), 1)] * 5, 3.5)
+        assert phi == pytest.approx(want, rel=1e-13)
+
+
+def test_pattern_kernel_blocks_large_pattern_sets():
+    # 3^11 patterns exceed one block, so each row spans several pattern blocks
+    law = make_symmetric_three_point(Fraction(1, 3))
+    rows = [[1 / 11] * 11, [k / 66 for k in range(1, 12)]]
+    got = _schur_objectives(rows, law, 3).tolist()
+    assert got == [schur_objective(row, law, 3) for row in rows]
+    for row, phi in zip(rows, got):
+        assert phi == pytest.approx(_convolution_objective(row, law, 3), rel=1e-12)
+
+
+def test_objective_past_the_support_guard_takes_the_convolution():
+    # 41^5 atom patterns exceed SUPPORT_GUARD; equal weights merge to 201 sums
+    law = make_step_law(StepLawParams(Fraction(1, 4), 20))
+    a = [Fraction(1, 5)] * 5
+    assert schur_objective(a, law, 3) == _convolution_objective(a, law, 3)
+
+
+def test_objective_memory_is_bounded_by_the_block():
+    # 2^22 distinct atom patterns; the kernel holds a few blocks of them at a
+    # time, where the merged law of the sum takes 2^22 atoms (about 190 MiB
+    # peak and 15 s under tracemalloc)
+    a = [Fraction(k, 253) for k in range(1, 23)]
+    tracemalloc.start()
+    try:
+        phi = schur_objective(a, COIN, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi == pytest.approx(1.5718647939983463, rel=1e-12)  # the convolution route's value
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------- ostrowski
@@ -134,6 +216,35 @@ def test_majorization_pair_validation():
         MajorizationPair((Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(TypeError):
         MajorizationPair((0.75, 0.25), (0.5, 0.5))
+    with pytest.raises(ValueError, match=r"prefix sum 1 violates majorization: 1/2 < 3/4"):
+        MajorizationPair((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4)))
+    with pytest.raises(ValueError, match=r"totals differ: 4/3 != 1"):
+        MajorizationPair((1, Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        MajorizationPair((Fraction(3, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+    pair = MajorizationPair((1, Fraction(1, 3), 0), ("1/3", Fraction(2, 3), Fraction(1, 3)))
+    assert pair.upper == (1, Fraction(1, 3), 0)
+    assert all(type(x) is Fraction for x in pair.upper + pair.lower)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1729, 20190601])
+def test_sampling_matches_per_trial_convolution(seed):
+    # the pre-batch loop: one pair and two convolution objectives per trial
+    law = make_symmetric_three_point(Fraction(1, 3))
+    master = random.Random(seed)
+    worst, witness = math.inf, None
+    for ts in [master.randrange(2**63) for _ in range(40)]:
+        rng = random.Random(ts)
+        a = _random_weights(rng, 4)
+        b = _t_transform(rng, a)
+        phi_u = _convolution_objective(a, law, 3.5)
+        phi_l = _convolution_objective(b, law, 3.5)
+        margin = (phi_l - phi_u) / max(1.0, phi_u, phi_l)
+        if margin < worst:
+            worst, witness = margin, MajorizationPair(a, b)
+    v = majorization_sample_test(4, law, 3.5, trials=40, seed=seed)
+    assert v.witness_pair == witness
+    assert abs(v.worst_margin - worst) <= 1e-12
 
 
 def test_sampling_deterministic():
