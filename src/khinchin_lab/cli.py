@@ -119,6 +119,11 @@ def _law(params) -> "object":
     return make_step_law(StepLawParams(params["rho0"], params["L"]))
 
 
+def _quad_kwargs(params) -> dict:
+    """`--budget` as the evaluation cap of each quadrature, when given."""
+    return {"max_evals": params["budget"]} if params.get("budget") else {}
+
+
 def _cmd_constants(config: RunConfig) -> int:
     p = config.params
     law = _law(p)
@@ -205,6 +210,7 @@ def _verify_tasks(config: RunConfig) -> list:
     rho0: Fraction = p["rho0"]
     L: int = p["L"]
     weights = p.get("weights") or [1] * p["n"]
+    quad_kwargs = _quad_kwargs(p)
     tasks = []
 
     def with_claim(name, fn):
@@ -229,7 +235,7 @@ def _verify_tasks(config: RunConfig) -> list:
         tasks.append(lambda: haagerup.l1_l2_verdict(_law(p), weights))
     if claim == "power-floor" or (claim == "all" and rho0 >= Fraction(1, 2)):
         tasks.append(lambda: haagerup.verify_charfn_power_floor(
-            _law(p), (1.0, 1.5, 2.0, 3.0, 5.0), tol=p["tol"]))
+            _law(p), (1.0, 1.5, 2.0, 3.0, 5.0), tol=p["tol"], **quad_kwargs))
     elif claim == "power-floor":
         raise CliInputError("power-floor claim needs --rho0 at least 1/2")
     if claim == "ostrowski":
@@ -237,7 +243,8 @@ def _verify_tasks(config: RunConfig) -> list:
             [float(w) for w in weights], _law(p), p["p"]))
     if claim == "concavity":
         grid = [Fraction(k, 8) for k in range(0, 8)]
-        tasks.append(lambda: haagerup.concavity_in_zero_mass(L, 2.0, grid, tol=p["tol"]))
+        tasks.append(lambda: haagerup.concavity_in_zero_mass(L, 2.0, grid, tol=p["tol"],
+                                                             **quad_kwargs))
     if not tasks:
         raise CliInputError(f"no applicable checks for claim {claim!r}")
     return tasks
@@ -252,8 +259,7 @@ def _cmd_haagerup(config: RunConfig) -> int:
     law = _law(p)
     weights = p.get("weights") or [1] * p["n"]
     budget = p.get("budget")
-    quad_kwargs = {"max_evals": budget} if budget else {}
-    res = haagerup.first_abs_moment_integral(weights, law, tol=p["tol"], **quad_kwargs)
+    res = haagerup.first_abs_moment_integral(weights, law, tol=p["tol"], **_quad_kwargs(p))
     conv_kwargs = {"max_atoms": budget} if budget else {}
     s_law = convolve_weighted([law] * len(weights), list(weights), **conv_kwargs)
     enum = first_abs_moment(s_law)
@@ -340,8 +346,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     lo, hi = p["s_min"], p["s_max"]
     if not (1.0 <= lo < hi):
         raise CliInputError("sweep needs 1 <= s-min < s-max")
-    budget = p.get("budget")
-    quad_kwargs = {"max_evals": budget} if budget else {}
+    quad_kwargs = _quad_kwargs(p)
     ss = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
     results = [haagerup.charfn_power_integral(law, s, tol=p["tol"], **quad_kwargs)
                for s in ss]

@@ -17,14 +17,14 @@ panels one by one, as a panel-at-a-time driver would; a panel's value and
 error estimate can differ from one-panel calls only through the summation
 order inside its 15-term rule.
 
-The semi-infinite routine splits the axis into three zones: a Taylor zone
-near 0 where g(t)/t^2 is replaced by its even quadratic extension (the
-limit g(t)/t^2 -> g''(0)/2 is estimated by symmetric differencing), an
-adaptive middle zone, and a tail.  When the integrand is periodic (laws
-with rational support and commensurable rational weights) the tail over
-[T, inf) collapses exactly onto a single period integrated against the
-weight sum_k (T+u+kP)^(-2), which is a trigamma value, so no truncation
-error is incurred.  Aperiodic integrands instead grow T under the coarse
+The semi-infinite routine integrates from t = 0 by one of two routes; the
+integrand g(t)/t^2 is analytic at 0 and no Gauss-Kronrod node touches an
+endpoint, so the origin needs no special zone.  When the integrand is
+periodic with period P (laws with rational support and commensurable
+rational weights) the whole half-line folds onto one period:
+sum_{k>=0} (u + kP)^(-2) = psi_1(u/P)/P^2, a trigamma value, so
+int_0^inf g/t^2 = int_0^P g(u) psi_1(u/P)/P^2 du with no truncation error.
+Aperiodic integrands instead grow T in doubling blocks under the coarse
 bound sup|g|/T and report the achieved error, flagged as non-converged
 when the tolerance is out of reach within the evaluation budget.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import polygamma
@@ -49,7 +49,7 @@ _EPS = np.finfo(float).eps
 #: seed panels per integrand call (15 nodes each)
 PANEL_CHUNK = 128
 
-#: most seed panels the tail routine lays over one zone
+#: most seed panels the tail routine lays over one integral
 SEED_CAP = 20_000
 
 
@@ -207,13 +207,17 @@ def _seed_count(lo: float, hi: float, width: float) -> int:
     return max(int((hi - lo) / max(width, 1e-12)), 0)
 
 
-def _seed_points(lo: float, hi: float, width: float):
-    """Uniform interior breakpoints of roughly the given width, at most
-    SEED_CAP panels."""
-    n = min(_seed_count(lo, hi, width), SEED_CAP)
-    if n <= 1:
-        return ()
-    return np.linspace(lo, hi, n + 1)[1:-1]
+def _integrate_seeded(f, lo: float, hi: float, width: float, tol: float,
+                      max_evals: int) -> QuadratureResult:
+    """`integrate_adaptive` over [lo, hi] from at most SEED_CAP uniform seed
+    panels of about the given width.  A budget too small for them (one panel
+    runs whatever the budget) lays fewer, wider ones and flags the result
+    unconverged: the panel rule can agree with itself over a feature."""
+    want = min(_seed_count(lo, hi, width), SEED_CAP)
+    n = min(want, max_evals // 15)
+    res = integrate_adaptive(f, lo, hi, tol, max_evals=max_evals,
+                             breakpoints=np.linspace(lo, hi, n + 1)[1:-1])
+    return replace(res, converged=False) if n < want else res
 
 
 def integrate_khinchin_tail(
@@ -224,111 +228,72 @@ def integrate_khinchin_tail(
     rate_hint: float | None = None,
     sup_bound: float = 2.0,
     max_evals: int = 10_000_000,
-    max_depth: int = 60,
 ) -> QuadratureResult:
     """Compute (2/pi) * int_0^inf g(t)/t^2 dt.
 
     Preconditions on g: even, bounded by `sup_bound`, g(0) = 0 with
     g(t) = O(t^2) at the origin (true for g(t) = 1 - prod_j phi_j(a_j t)
     built from characteristic functions of symmetric laws, and for the
-    |phi|^s variants).
+    |phi|^s variants).  Both routes start at t = 0, so g must keep its
+    relative accuracy at small t: build it from 1 - phi, not from phi.
 
-    `period_hint` activates the exact periodic tail; pass it only when g is
-    genuinely periodic with that period (rational-support laws under
-    rational weights; never float weights).  `rate_hint` bounds |d/dt| of
-    the oscillatory part and seeds the subdivision so narrow features are
-    not missed by the panel rule; a period whose zones would need more than
-    SEED_CAP seed panels of width pi/rate gives way to the aperiodic route.
+    `period_hint` selects the periodic route; pass it only when g is
+    genuinely periodic with that period P (rational-support laws under
+    rational weights; never float weights).  The integral is then
+    int_0^P g(u) psi_1(u/P) / P^2 du, exactly.  Otherwise doubling blocks
+    [0, 12], [12, 24], ... run until the bound 0 <= int_T^inf g/t^2 <=
+    sup_bound/T, whose midpoint is added, leaves the error under tol.
+
+    `rate_hint` bounds |d/dt| of the oscillatory part and seeds the
+    subdivision with panels of width pi/rate, so narrow features are not
+    missed by the panel rule.  `max_evals` caps the integrand points; a run
+    that exhausts it returns what it integrated (plus the bound's midpoint
+    at the T reached) flagged unconverged.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    def fn(ts):
-        return _evaluate(g, ts)
-
-    t0 = 1e-3
-    two_over_pi = 2.0 / math.pi
-
-    # Taylor zone [0, t0]: g(t)/t^2 = c + d t^2 + O(t^4) with even g.
-    pair = fn(np.array([t0 / 2.0, t0]))
-    evals = 2
-    g_half = pair[0] / (t0 / 2.0) ** 2
-    g_full = pair[1] / t0**2
-    c = (4.0 * g_half - g_full) / 3.0
-    d = 4.0 * (g_full - g_half) / (3.0 * t0 * t0)
-    near_val = c * t0 + d * t0**3 / 3.0
-    near_err = abs(d) * t0**3 + 1e-12 * max(1.0, abs(c)) * t0
-
     rate = max(float(rate_hint) if rate_hint else 1.0, 1e-6)
     seed_width = math.pi / rate
-
-    def midf(ts):
-        return fn(ts) / ts**2
+    two_over_pi = 2.0 / math.pi
 
     periodic = period_hint is not None
     if periodic:
         period = float(period_hint)
         if not (period > 0.0 and math.isfinite(period)):
             raise ValueError("period_hint must be a positive finite number")
-        t_switch = max(12.0, period)
         # Wider than pi/rate, seed panels can step over the integrand's
         # features while the panel rule agrees with itself on them; the
         # aperiodic route's truncation bound sup|g|/T needs no period.
-        periodic = max(_seed_count(t0, t_switch, seed_width),
-                       _seed_count(0.0, period, seed_width)) <= SEED_CAP
+        periodic = _seed_count(0.0, period, seed_width) <= SEED_CAP
     if periodic:
-        mid = integrate_adaptive(
-            midf, t0, t_switch, tol=0.4 * tol,
-            max_depth=max_depth, max_evals=max(max_evals // 2, 10_000),
-            breakpoints=_seed_points(t0, t_switch, seed_width),
-        )
         pref = 1.0 / (period * period)
 
-        def tailf(us):
-            ts = t_switch + us
-            return fn(ts) * polygamma(1, ts / period) * pref
+        def weighted(us):
+            return _evaluate(g, us) * polygamma(1, us / period) * pref
 
-        tail = integrate_adaptive(
-            tailf, 0.0, period, tol=0.4 * tol,
-            max_depth=max_depth, max_evals=max(max_evals // 2, 10_000),
-            breakpoints=_seed_points(0.0, period, seed_width),
-        )
-        raw_val = near_val + mid.value + tail.value
-        raw_err = near_err + mid.abs_error + tail.abs_error
-        evals += mid.evaluations + tail.evaluations
-        pieces_ok = mid.converged and tail.converged
-    else:
-        # Aperiodic: integrate outward in doubling blocks under sup|g|/T.
-        raw_mid = 0.0
-        err_mid = 0.0
-        lo_block = t0
-        hi_block = 12.0
-        pieces_ok = False
-        while True:
-            budget_left = max_evals - evals
-            if budget_left < 30_000:
-                break
-            blk = integrate_adaptive(
-                midf, lo_block, hi_block, tol=0.2 * tol,
-                max_depth=max_depth, max_evals=budget_left - 10_000,
-                breakpoints=_seed_points(lo_block, hi_block, seed_width),
-            )
-            raw_mid += blk.value
-            err_mid += blk.abs_error
-            evals += blk.evaluations
-            lo_block = hi_block
-            # 0 <= int_T^inf g/t^2 <= sup_bound/T: estimate the midpoint.
-            bound = sup_bound / lo_block
-            raw_err = near_err + err_mid + 0.5 * bound
-            raw_val = near_val + raw_mid + 0.5 * bound
-            if two_over_pi * raw_err <= 0.9 * tol * max(1.0, two_over_pi * abs(raw_val)):
-                pieces_ok = True
-                break
-            hi_block *= 2.0
-        bound = sup_bound / lo_block
-        raw_val = near_val + raw_mid + 0.5 * bound
-        raw_err = near_err + err_mid + 0.5 * bound
+        res = _integrate_seeded(weighted, 0.0, period, seed_width, tol, max_evals)
+        # within tol of the raw integral is within tol after the factor 2/pi
+        return replace(res, value=two_over_pi * res.value,
+                       abs_error=two_over_pi * res.abs_error)
 
-    value = two_over_pi * raw_val
-    abs_error = two_over_pi * raw_err
-    converged = pieces_ok and abs_error <= tol * max(1.0, abs(value))
-    return QuadratureResult(value, abs_error, evals, converged)
+    def f(ts):
+        return _evaluate(g, ts) / ts**2
+
+    raw_val = raw_err = 0.0
+    evals = 0
+    lo, hi = 0.0, 12.0
+    while True:
+        blk = _integrate_seeded(f, lo, hi, seed_width, 0.2 * tol, max_evals - evals)
+        raw_val += blk.value
+        raw_err += blk.abs_error
+        evals += blk.evaluations
+        # 0 <= int_hi^inf g/t^2 <= sup_bound/hi: add the midpoint.
+        half = 0.5 * sup_bound / hi
+        value = two_over_pi * (raw_val + half)
+        abs_error = two_over_pi * (raw_err + half)
+        converged = blk.converged and abs_error <= 0.9 * tol * max(1.0, abs(value))
+        # further blocks cannot make up for one short of its tol, and each
+        # costs at least one panel
+        if converged or not blk.converged or evals + 15 > max_evals:
+            return QuadratureResult(value, abs_error, evals, converged)
+        lo, hi = hi, 2.0 * hi

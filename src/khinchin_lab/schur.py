@@ -91,21 +91,24 @@ class MajorizationPair:
             raise ValueError("majorization pair components must have equal length")
         # exact prefix sums, as integer numerators over one denominator
         den = math.lcm(*(x.denominator for x in upper + lower))
-        us = [x.numerator * (den // x.denominator) for x in upper]
-        ls = [x.numerator * (den // x.denominator) for x in lower]
-        if any(x < 0 for x in us + ls):
-            raise ValueError("weights must be nonnegative")
-        us.sort(reverse=True)
-        ls.sort(reverse=True)
-        pu = pl = 0
-        for k, (u, l) in enumerate(zip(us, ls)):
-            pu += u
-            pl += l
-            if pu < pl:
-                raise ValueError(f"prefix sum {k + 1} violates majorization: "
-                                 f"{Fraction(pu, den)} < {Fraction(pl, den)}")
-        if pu != pl:
-            raise ValueError(f"totals differ: {Fraction(pu, den)} != {Fraction(pl, den)}")
+        _check_majorization([x.numerator * (den // x.denominator) for x in upper],
+                            [x.numerator * (den // x.denominator) for x in lower], den)
+
+
+def _check_majorization(us: list[int], ls: list[int], den: int) -> None:
+    """Raise ValueError unless us/den and ls/den are nonnegative and us/den
+    majorizes ls/den."""
+    if any(x < 0 for x in us + ls):
+        raise ValueError("weights must be nonnegative")
+    pu = pl = 0
+    for k, (u, l) in enumerate(zip(sorted(us, reverse=True), sorted(ls, reverse=True))):
+        pu += u
+        pl += l
+        if pu < pl:
+            raise ValueError(f"prefix sum {k + 1} violates majorization: "
+                             f"{Fraction(pu, den)} < {Fraction(pl, den)}")
+    if pu != pl:
+        raise ValueError(f"totals differ: {Fraction(pu, den)} != {Fraction(pl, den)}")
 
 
 @dataclass(frozen=True)
@@ -239,21 +242,19 @@ def ostrowski_check(a: Sequence, law: SymmetricAtomLaw, p: float,
     )
 
 
-def _random_weights(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    nums = [rng.randint(1, 50) for _ in range(n)]
-    total = sum(nums)
-    return tuple(Fraction(k, total) for k in nums)
-
-
-def _t_transform(rng: random.Random, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    # averaging two coordinates moves strictly down in majorization order
-    n = len(a)
+def _draw_numerators(trial_seed: int, n: int) -> tuple[list[int], list[int], int]:
+    """One trial's weights k_i / total, k_i in [1, 50], and their T-transform
+    (coordinates i and j averaged with weight lam / 100, which moves strictly
+    down in majorization order), as numerators over 100 * total."""
+    rng = random.Random(trial_seed)
+    ks = [rng.randint(1, 50) for _ in range(n)]
     i, j = rng.sample(range(n), 2)
-    lam = Fraction(rng.randint(1, 99), 100)
-    b = list(a)
-    b[i] = (1 - lam) * a[i] + lam * a[j]
-    b[j] = lam * a[i] + (1 - lam) * a[j]
-    return tuple(b)
+    lam = rng.randint(1, 99)
+    upper = [100 * k for k in ks]
+    lower = upper.copy()
+    lower[i] = (100 - lam) * ks[i] + lam * ks[j]
+    lower[j] = lam * ks[i] + (100 - lam) * ks[j]
+    return upper, lower, 100 * sum(ks)
 
 
 def majorization_sample_test(n: int, law: SymmetricAtomLaw, p: float,
@@ -275,10 +276,11 @@ def majorization_sample_test(n: int, law: SymmetricAtomLaw, p: float,
     trial_seeds = [master.randrange(2**63) for _ in range(trials)]
     rows = np.empty((2 * trials, n))
     for t, ts in enumerate(trial_seeds):
-        pair = _draw_pair(ts, n)
-        # float(x) for a Fraction, without its dispatch through numbers
-        rows[2 * t] = [x.numerator / x.denominator for x in pair.upper]
-        rows[2 * t + 1] = [x.numerator / x.denominator for x in pair.lower]
+        upper, lower, den = _draw_numerators(ts, n)
+        # int / int rounds correctly, so each row is float() of its exact weight
+        rows[2 * t] = [u / den for u in upper]
+        rows[2 * t + 1] = [l / den for l in lower]
+        _check_majorization(upper, lower, den)
     phi = _schur_objectives(rows, law, p).tolist()
     worst = math.inf
     witness_seed = None
@@ -293,9 +295,9 @@ def majorization_sample_test(n: int, law: SymmetricAtomLaw, p: float,
 
 
 def _draw_pair(trial_seed: int, n: int) -> MajorizationPair:
-    rng = random.Random(trial_seed)
-    a = _random_weights(rng, n)
-    return MajorizationPair(upper=a, lower=_t_transform(rng, a))
+    upper, lower, den = _draw_numerators(trial_seed, n)
+    return MajorizationPair(upper=tuple(Fraction(u, den) for u in upper),
+                            lower=tuple(Fraction(l, den) for l in lower))
 
 
 def _infer_step_params(law: SymmetricAtomLaw) -> tuple[Fraction, int] | None:

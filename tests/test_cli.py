@@ -116,8 +116,10 @@ def test_verify_all_battery(capsys):
 
 
 def test_verify_power_floor_fails_on_unconverged_integrals(capsys):
+    # tol 1e-15 is out of reach within 5000 evaluations per integral
     code, out, err = run_cli(capsys, "verify", "--claim", "power-floor",
-                             "--rho0", "1/2", "--L", "2", "--tol", "1e-12")
+                             "--rho0", "1/2", "--L", "2", "--tol", "1e-15",
+                             "--budget", "5000")
     obj = json.loads(out)
     assert code == 1
     assert "charfn-power-floor" in err
@@ -153,9 +155,10 @@ def test_haagerup_dual_route(capsys):
 
 
 def test_haagerup_witness_shows_unconverged_integral(capsys):
-    # the Taylor zone's error floor (1.65e-10) sits above tol 1e-10
+    # tol 1e-15 is out of reach within 5000 evaluations
     code, out, err = run_cli(capsys, "haagerup", "--weights", "1,1/3,2/7",
-                             "--rho0", "1/2", "--L", "2", "--tol", "1e-10")
+                             "--rho0", "1/2", "--L", "2", "--tol", "1e-15",
+                             "--budget", "5000")
     obj = json.loads(out)
     assert code == 1, err
     assert obj["pass"] is False

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +9,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from khinchin_lab.exactprob import StepLawParams, convolve_weighted, first_abs_moment, make_step_law
 from khinchin_lab.haagerup import (
     CharFn,
@@ -58,6 +60,20 @@ def test_charfn_vectorized():
     assert np.allclose(vals, np.cos(ts), atol=1e-14)
 
 
+@pytest.mark.parametrize("law", [COIN, make_step_law(StepLawParams(Fraction(1, 3), 3))])
+def test_charfn_complement_keeps_relative_accuracy(law):
+    cf = CharFn.from_law(law)
+    ts = [1e-8, 1e-4, 1.0, 37.0]
+    got = cf.complement(np.array(ts))
+    with mpmath.workdps(40):
+        for t, g in zip(ts, got.tolist()):
+            ref = mpmath.fsum(2 * mpmath.mpf(m.numerator) / m.denominator
+                              * (1 - mpmath.cos(mpmath.mpf(v.numerator) / v.denominator * t))
+                              for v, m in zip(law.values, law.masses) if v > 0)
+            assert abs(g - ref) <= 1e-14 * ref
+            assert cf.complement(t) == g
+
+
 # ---------------------------------------------------------------- periods
 
 def test_product_period():
@@ -90,6 +106,38 @@ def test_first_abs_moment_integral_matches_enumeration():
     assert res.value == pytest.approx(209 / 192, abs=1e-8)
 
 
+# sums with a large E S^4, so g(t)/t^2 bends hard near t = 0
+@pytest.mark.parametrize("weights,rho0,L", [
+    ("6,1/2,7/3", Fraction(0), 3),
+    ("1,1/3,2/7", Fraction(1, 2), 2),
+    ("5,3/2,1", Fraction(0), 3),
+    ("7/2,3,1/2", Fraction(1, 4), 3),
+])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_integral_from_zero_converges_at_tight_tol(weights, rho0, L, tol):
+    w = [Fraction(x) for x in weights.split(",")]
+    exact = float(oracles.enum_abs_moment(w, [oracles.step_atoms(rho0, L)] * len(w), 1))
+    res = first_abs_moment_integral(w, make_step_law(StepLawParams(rho0, L)), tol=tol)
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
+def test_budget_caps_both_tail_routes():
+    law = make_step_law(StepLawParams(Fraction(1, 2), 2))
+    w = [Fraction(1), Fraction(1, 3), Fraction(2, 7)]
+    exact = float(oracles.enum_abs_moment(w, [oracles.step_atoms(Fraction(1, 2), 2)] * 3, 1))
+    assert first_abs_moment_integral(w, law).evaluations > 500
+    res = first_abs_moment_integral(w, law, max_evals=500)  # periodic
+    assert res.evaluations <= 500 and not res.converged
+    assert abs(res.value - exact) <= res.abs_error
+    r2 = [1.0, math.sqrt(2.0)]  # aperiodic
+    exact = float(first_abs_moment(convolve_weighted([HALF] * 2, r2)))
+    for budget in (20_000, 1000, 15):
+        res = first_abs_moment_integral(r2, HALF, max_evals=budget)
+        assert res.evaluations <= budget and not res.converged
+        assert abs(res.value - exact) <= res.abs_error
+
+
 def test_periodic_tail_past_seed_cap_takes_aperiodic_route():
     # period ~6e15 against features near t ~ 1/rate ~ 3e4: periodic seed
     # panels would be ~3e11 wide, so the doubling blocks run instead
@@ -119,6 +167,9 @@ def test_haagerup_function_analytic_points():
     assert haagerup_function(1.0).value == pytest.approx(2 / math.pi, abs=1e-8)
     assert haagerup_function(2.0).value == pytest.approx(1 / math.sqrt(2), abs=1e-8)
     assert haagerup_function(4.0).value == pytest.approx(0.75, abs=1e-8)
+    res = haagerup_function(2.0, tol=1e-12)
+    assert res.converged
+    assert abs(res.value - 1 / math.sqrt(2)) <= res.abs_error
 
 
 def test_haagerup_function_frozen_values():
@@ -209,7 +260,8 @@ def test_concavity_small_grids():
 def test_concavity_fails_on_unconverged_integrals():
     grid = [Fraction(1, 2), Fraction(5, 8), Fraction(3, 4)]
     assert concavity_in_zero_mass(2, 3.0, grid, tol=1e-8).passed
-    rep = concavity_in_zero_mass(2, 3.0, grid, tol=1e-12)
+    # 60 evaluations (four seed panels) leave each error above 1e-12
+    rep = concavity_in_zero_mass(2, 3.0, grid, tol=1e-15, max_evals=60)
     assert not rep.passed
     rows = rep.witness["rows"]
     assert [row["rho"] for row in rows] == grid

@@ -30,7 +30,7 @@ from khinchin_lab.schur import (
     two_point_schur_check,
     verify_gaussian_comparison,
 )
-from khinchin_lab.schur import _random_weights, _schur_objectives, _t_transform
+from khinchin_lab.schur import _draw_numerators, _draw_pair, _schur_objectives
 
 COIN = make_symmetric_three_point(0)
 POINT_MASS = make_step_law(StepLawParams(Fraction(1), 1))  # W identically 0
@@ -227,16 +227,27 @@ def test_majorization_pair_validation():
     assert all(type(x) is Fraction for x in pair.upper + pair.lower)
 
 
+def _fraction_pair(rng, n):
+    """The pair drawn in Fraction arithmetic: weights k_i / total with k_i in
+    [1, 50], then coordinates i and j averaged with weight lam."""
+    nums = [rng.randint(1, 50) for _ in range(n)]
+    a = tuple(Fraction(k, sum(nums)) for k in nums)
+    i, j = rng.sample(range(n), 2)
+    lam = Fraction(rng.randint(1, 99), 100)
+    b = list(a)
+    b[i] = (1 - lam) * a[i] + lam * a[j]
+    b[j] = lam * a[i] + (1 - lam) * a[j]
+    return a, tuple(b)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 1729, 20190601])
 def test_sampling_matches_per_trial_convolution(seed):
-    # the pre-batch loop: one pair and two convolution objectives per trial
+    # the pre-batch loop: one Fraction pair and two convolution objectives per trial
     law = make_symmetric_three_point(Fraction(1, 3))
     master = random.Random(seed)
     worst, witness = math.inf, None
     for ts in [master.randrange(2**63) for _ in range(40)]:
-        rng = random.Random(ts)
-        a = _random_weights(rng, 4)
-        b = _t_transform(rng, a)
+        a, b = _fraction_pair(random.Random(ts), 4)
         phi_u = _convolution_objective(a, law, 3.5)
         phi_l = _convolution_objective(b, law, 3.5)
         margin = (phi_l - phi_u) / max(1.0, phi_u, phi_l)
@@ -245,6 +256,17 @@ def test_sampling_matches_per_trial_convolution(seed):
     v = majorization_sample_test(4, law, 3.5, trials=40, seed=seed)
     assert v.witness_pair == witness
     assert abs(v.worst_margin - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_integer_draw_matches_fraction_draw(n):
+    master = random.Random(n)
+    for ts in [master.randrange(2**63) for _ in range(300)]:
+        a, b = _fraction_pair(random.Random(ts), n)
+        upper, lower, den = _draw_numerators(ts, n)
+        assert [u / den for u in upper] == [float(x) for x in a]
+        assert [l / den for l in lower] == [float(x) for x in b]
+        assert _draw_pair(ts, n) == MajorizationPair(a, b)
 
 
 def test_sampling_deterministic():
