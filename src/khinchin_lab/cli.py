@@ -259,9 +259,10 @@ def _cmd_haagerup(config: RunConfig) -> int:
     law = _law(p)
     weights = p.get("weights") or [1] * p["n"]
     budget = p.get("budget")
-    res = haagerup.first_abs_moment_integral(weights, law, tol=p["tol"], **_quad_kwargs(p))
     conv_kwargs = {"max_atoms": budget} if budget else {}
     s_law = convolve_weighted([law] * len(weights), list(weights), **conv_kwargs)
+    res = haagerup.first_abs_moment_integral(weights, law, tol=p["tol"], sum_law=s_law,
+                                             **_quad_kwargs(p))
     enum = first_abs_moment(s_law)
     diff = abs(res.value - float(enum))
     agree_tol = max(10 * p["tol"], 4 * res.abs_error, 1e-9)
@@ -271,7 +272,8 @@ def _cmd_haagerup(config: RunConfig) -> int:
         passed=bool(diff <= agree_tol and res.converged),
         margin=agree_tol - diff,
         witness={"integral": res.value, "integral_err": res.abs_error,
-                 "enumeration": enum, "difference": diff, "converged": res.converged},
+                 "enumeration": enum, "difference": diff, "converged": res.converged,
+                 "tail": None if res.tail is None else dict(zip(("T", "M", "K"), res.tail))},
     )
     return _finish([report], config)
 

@@ -61,6 +61,8 @@ SUPPORT_GUARD = 10_000_000
 #: float atoms closer than this, relative to the largest |value|, are merged
 MERGE_RTOL = 1e-12
 
+_EPS = float(np.finfo(float).eps)
+
 #: integers below this stay in int64, with room for one doubling
 _INT64_SAFE = 2**62
 
@@ -140,9 +142,11 @@ class SymmetricAtomLaw:
     one value scale; float or mixed values as floats, with scale None.  A
     law built from its atom table keeps that table; one built by
     `_from_grid`, as the convolutions do, builds it on first use.
+    `merge_shift` bounds how far rounding and merging moved any atom from
+    the exact law of a float weighted sum; it is 0 for every other law.
     """
 
-    __slots__ = ("_atoms", "_values", "_nums", "_den", "_scale")
+    __slots__ = ("_atoms", "_values", "_nums", "_den", "_scale", "_shift")
 
     def __init__(self, atoms: Iterable[tuple[Scalar, Fraction]]):
         self._atoms = _check_atoms(atoms)
@@ -156,10 +160,11 @@ class SymmetricAtomLaw:
         else:
             self._scale = None
             self._values = np.array([float(v) for v in values])
+        self._shift = 0.0
 
     @classmethod
     def _from_grid(cls, values: np.ndarray, nums: np.ndarray, den: int,
-                   scale: int | None) -> "SymmetricAtomLaw":
+                   scale: int | None, merge_shift: float = 0.0) -> "SymmetricAtomLaw":
         if len(values) != len(nums) or not len(values):
             raise ValueError("mismatched grid arrays")
         if not np.all(values[1:] > values[:-1]):
@@ -171,6 +176,7 @@ class SymmetricAtomLaw:
         self = object.__new__(cls)
         self._atoms = None
         self._values, self._nums, self._den, self._scale = values, nums, den, scale
+        self._shift = merge_shift
         return self
 
     @property
@@ -192,6 +198,10 @@ class SymmetricAtomLaw:
 
     def __len__(self) -> int:
         return len(self._values)
+
+    @property
+    def merge_shift(self) -> float:
+        return self._shift
 
     @property
     def is_rational(self) -> bool:
@@ -344,7 +354,8 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
     exact integer mass numerators: after each summand, every chain of values
     whose gaps are at most MERGE_RTOL * max|value| merges onto its middle
     value, and the result is re-symmetrized by pairing the k-th values from
-    both ends.  A step that would allocate more than max_atoms entries
+    both ends; its `merge_shift` bounds how far that, and rounding, moved
+    any atom.  A step that would allocate more than max_atoms entries
     (default SUPPORT_GUARD) is rejected before it allocates them.
     """
     laws = list(laws)
@@ -376,21 +387,24 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
         else:
             offsets = [np.array([x * m for x in v.tolist()], dtype=object)
                        for v, m in zip(grids, mults)]
-        values, nums = _merge_outer(list(zip(offsets, (law._nums for law in laws))),
-                                    den, None, max_atoms)
+        values, nums, _ = _merge_outer(list(zip(offsets, (law._nums for law in laws))),
+                                       den, None, max_atoms)
         return SymmetricAtomLaw._from_grid(values, nums, den, scale)
-    values, nums = _merge_outer(
+    values, nums, shift = _merge_outer(
         [(float(w) * law.values_float(), law._nums) for law, w in zip(laws, weights)],
         den, MERGE_RTOL, max_atoms)
     # Re-symmetrize: the k-th values from both ends become -+ half their
-    # gap, each carrying the mean of their masses.
+    # gap, each carrying the mean of their masses; a value moves by half
+    # its pair's asymmetry.
+    shift += float(np.abs(values + values[::-1]).max()) / 2.0
     return SymmetricAtomLaw._from_grid((values - values[::-1]) / 2.0, nums + nums[::-1],
-                                       2 * den, None)
+                                       2 * den, None, shift)
 
 
 def _merge_outer(kernels, den: int, rtol: float | None, max_atoms: int):
     """Sorted values and mass numerators over `den` of a sum of independent
-    summands, each given as (values, mass numerators).
+    summands, each given as (values, mass numerators), and a bound on how
+    far the float steps moved any value (0.0 without `rtol`).
 
     Each step adds one summand and reduces its sums to distinct values
     through whichever array is smaller.  Integer values (no `rtol`) whose
@@ -400,13 +414,17 @@ def _merge_outer(kernels, den: int, rtol: float | None, max_atoms: int):
     costs fewer cell adds, and the nonzero cells are kept.  Other steps take
     outer sums and products, sort stably and add up the numerators of equal
     values; with `rtol` (float values), each chain of distinct values whose
-    gaps are at most rtol * max|value| then merges onto its middle value.
+    gaps are at most rtol * max|value| then merges onto its middle value,
+    moving each value by at most its chain's span; with the rounding of
+    the step's products and sums, under 2 eps max|value|, these moves add
+    up over the steps.
     Numerators are int64 below _INT64_SAFE, Python ints above.  A step whose
     array, min(outer size, span) for integers and the outer size for
     floats, would exceed max_atoms is rejected before it is allocated.
     """
     values = np.zeros(1, dtype=kernels[0][0].dtype)
     nums = np.ones(1, dtype=np.int64 if den < _INT64_SAFE else object)
+    shift = 0.0
     for k_values, k_nums in kernels:
         size = len(values) * len(k_values)
         span = size + 1  # float values have no grid, so only integer steps go dense
@@ -441,11 +459,12 @@ def _merge_outer(kernels, den: int, rtol: float | None, max_atoms: int):
         starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         values, nums = values[starts], np.add.reduceat(nums, starts)
         if rtol is not None:
-            width = rtol * max(np.abs(values).max(), 1e-300)
-            chains = np.flatnonzero(np.concatenate(([True], np.diff(values) > width)))
+            top = max(np.abs(values).max(), 1e-300)
+            chains = np.flatnonzero(np.concatenate(([True], np.diff(values) > rtol * top)))
             ends = np.append(chains[1:], len(values))
+            shift += float((values[ends - 1] - values[chains]).max()) + 2.0 * _EPS * top
             values, nums = values[(chains + ends) // 2], np.add.reduceat(nums, chains)
-    return values, nums
+    return values, nums, shift
 
 
 class MomentMethod(str, Enum):

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactprob import (
+    SUPPORT_GUARD,
     StepLawParams,
     SymmetricAtomLaw,
     convolve_weighted,
@@ -148,8 +149,18 @@ def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
 
 def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
                               tol: float = 1e-8,
-                              max_evals: int = 10_000_000) -> QuadratureResult:
-    """E|sum_j a_j Y_j| through the characteristic-function integral."""
+                              max_evals: int = 10_000_000,
+                              *,
+                              sum_law: SymmetricAtomLaw | None = None) -> QuadratureResult:
+    """E|sum_j a_j Y_j| through the characteristic-function integral.
+
+    Off the period, the tail past the cut T comes from integration by parts
+    with M = P(S = 0) and K = E[|S|^-1; S != 0] of the sum S, while the
+    product of the summands' atom counts is within SUPPORT_GUARD; past it
+    the doubling blocks run.  The law of S is `sum_law` when given (it must
+    be convolve_weighted([law] * n, weights)), else it is built here, once
+    and only when that tail runs.
+    """
     if len(weights) == 0:
         raise ValueError("need at least one weight")
     phi = CharFn.from_law(law)
@@ -168,12 +179,21 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
             keep -= term
         return out
 
+    def bohr():
+        s_law = sum_law if sum_law is not None else convolve_weighted(
+            [law] * len(weights), list(weights))
+        values = s_law.values_float()
+        nonzero = values != 0.0
+        k = float(s_law.masses_float()[nonzero] @ (1.0 / np.abs(values[nonzero])))
+        return float(s_law.zero_mass), k, s_law.merge_shift
+
     return integrate_khinchin_tail(
         g,
         period_hint=product_charfn_period(law, weights),
         tol=tol,
         rate_hint=sum(abs(x) for x in a) * v_max,
         sup_bound=2.0,
+        bohr=bohr if len(law) ** len(weights) <= SUPPORT_GUARD else None,
         max_evals=max_evals,
     )
 

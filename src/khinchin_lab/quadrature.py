@@ -7,7 +7,8 @@ by a heuristic; it is not a proven bound on the error.
 `integrate_khinchin_tail` handles the semi-infinite integrals
 (2/pi) * int_0^inf g(t)/t^2 dt, with g even, bounded and O(t^2) at the
 origin, that arise from characteristic-function representations of first
-absolute moments.
+absolute moments (Haagerup, "The best constants in the Khintchine
+inequality", Studia Math. 70 (1981)).
 
 Panels are evaluated in batches: the panels of the initial subdivision go
 PANEL_CHUNK at a time, each chunk in one integrand call on its (chunk, 15)
@@ -15,18 +16,25 @@ grid of nodes, and each bisection evaluates both halves of the worst panel
 in one 30-point call.  Refinement order and running sums follow the
 panels one by one, as a panel-at-a-time driver would; a panel's value and
 error estimate can differ from one-panel calls only through the summation
-order inside its 15-term rule.
+order inside its 15-term rule.  The evaluation budget covers the initial
+subdivision too: past it, every k-th breakpoint is kept.
 
-The semi-infinite routine integrates from t = 0 by one of two routes; the
+The semi-infinite routine integrates from t = 0 by one of three routes; the
 integrand g(t)/t^2 is analytic at 0 and no Gauss-Kronrod node touches an
-endpoint, so the origin needs no special zone.  When the integrand is
-periodic with period P (laws with rational support and commensurable
-rational weights) the whole half-line folds onto one period:
-sum_{k>=0} (u + kP)^(-2) = psi_1(u/P)/P^2, a trigamma value, so
-int_0^inf g/t^2 = int_0^P g(u) psi_1(u/P)/P^2 du with no truncation error.
-Aperiodic integrands instead grow T in doubling blocks under the coarse
-bound sup|g|/T and report the achieved error, flagged as non-converged
-when the tolerance is out of reach within the evaluation budget.
+endpoint, so the origin needs no special zone.
+- Periodic g, with period P (laws with rational support and commensurable
+  rational weights): the whole half-line folds onto one period,
+  sum_{k>=0} (u + kP)^(-2) = psi_1(u/P)/P^2, a trigamma value, so
+  int_0^inf g/t^2 = int_0^P g(u) psi_1(u/P)/P^2 du with no truncation error.
+- g = 1 - psi with psi(t) = E cos(tS) for a known finite law S: with
+  M = P(S = 0) and K = E[|S|^-1; S != 0], integration by parts gives
+  int_T^inf g/t^2 = (1 - M)/T - R with |R| <= 2K/T^2, since the
+  antiderivative of psi - M is bounded by K.  One integral over [0, T]
+  with T = sqrt(2K/eps) leaves a tail error eps.
+- Any other g: T grows in doubling blocks under the coarse bound
+  sup|g|/T.
+Each route reports the achieved error, flagged as non-converged when the
+tolerance is out of reach within the evaluation budget.
 """
 from __future__ import annotations
 
@@ -66,13 +74,15 @@ class QuadratureResult:
     bound.  `evaluations` counts integrand points;
     `converged` is False when a depth or budget cap stopped refinement
     before the tolerance was met (the value and the larger error are still
-    reported).
+    reported).  `tail` is (T, M, K) when `integrate_khinchin_tail` cut the
+    integral at T by integration by parts, and None otherwise.
     """
 
     value: float
     abs_error: float
     evaluations: int
     converged: bool = True
+    tail: tuple[float, float, float] | None = None
 
     def require_converged(self) -> "QuadratureResult":
         if not self.converged:
@@ -150,9 +160,11 @@ def integrate_adaptive(
     summed estimate satisfies abs_error <= tol * max(1, |result|), a depth
     cap of `max_depth` bisections, or the evaluation budget.  `breakpoints`
     seeds the initial subdivision (interior points; kinks and known feature
-    scales go here).  The integrand must be vectorized: called on an array
-    of points it returns an array of the same shape, or a ValueError is
-    raised.
+    scales go here).  When the budget cannot cover the panels they make, at
+    most max_evals // 15 panels (at least one) are kept by taking every k-th
+    breakpoint, and the result is flagged unconverged.  The integrand must
+    be vectorized: called on an array of points it returns an array of the
+    same shape, or a ValueError is raised.
     """
     lo = float(lo)
     hi = float(hi)
@@ -162,7 +174,13 @@ def integrate_adaptive(
         raise ValueError("tol must be positive")
 
     inner = np.unique(np.asarray(breakpoints, dtype=float))
-    ends = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
+    inner = inner[(inner > lo) & (inner < hi)]
+    cap = max(max_evals // 15, 1)
+    thinned = inner.size + 1 > cap
+    if thinned:
+        step = -(-(inner.size + 1) // cap)  # ceil(panels / cap)
+        inner = inner[step - 1::step]
+    ends = np.concatenate(([lo], inner, [hi]))
     lefts, rights = ends[:-1], ends[1:]
     chunks = [_gk15(f, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
               for i in range(0, lefts.size, PANEL_CHUNK)]
@@ -198,7 +216,7 @@ def integrate_adaptive(
         heapq.heappush(heap, (-e2, seq, mid, b, v2, e2, depth + 1))
         seq += 1
 
-    converged = total_err <= tol * max(1.0, abs(total_val))
+    converged = not thinned and total_err <= tol * max(1.0, abs(total_val))
     return QuadratureResult(total_val, total_err, evals, converged)
 
 
@@ -210,14 +228,10 @@ def _seed_count(lo: float, hi: float, width: float) -> int:
 def _integrate_seeded(f, lo: float, hi: float, width: float, tol: float,
                       max_evals: int) -> QuadratureResult:
     """`integrate_adaptive` over [lo, hi] from at most SEED_CAP uniform seed
-    panels of about the given width.  A budget too small for them (one panel
-    runs whatever the budget) lays fewer, wider ones and flags the result
-    unconverged: the panel rule can agree with itself over a feature."""
-    want = min(_seed_count(lo, hi, width), SEED_CAP)
-    n = min(want, max_evals // 15)
-    res = integrate_adaptive(f, lo, hi, tol, max_evals=max_evals,
-                             breakpoints=np.linspace(lo, hi, n + 1)[1:-1])
-    return replace(res, converged=False) if n < want else res
+    panels of about the given width."""
+    n = min(_seed_count(lo, hi, width), SEED_CAP)
+    return integrate_adaptive(f, lo, hi, tol, max_evals=max_evals,
+                              breakpoints=np.linspace(lo, hi, n + 1)[1:-1])
 
 
 def integrate_khinchin_tail(
@@ -227,6 +241,7 @@ def integrate_khinchin_tail(
     *,
     rate_hint: float | None = None,
     sup_bound: float = 2.0,
+    bohr=None,
     max_evals: int = 10_000_000,
 ) -> QuadratureResult:
     """Compute (2/pi) * int_0^inf g(t)/t^2 dt.
@@ -234,21 +249,35 @@ def integrate_khinchin_tail(
     Preconditions on g: even, bounded by `sup_bound`, g(0) = 0 with
     g(t) = O(t^2) at the origin (true for g(t) = 1 - prod_j phi_j(a_j t)
     built from characteristic functions of symmetric laws, and for the
-    |phi|^s variants).  Both routes start at t = 0, so g must keep its
+    |phi|^s variants).  Every route starts at t = 0, so g must keep its
     relative accuracy at small t: build it from 1 - phi, not from phi.
 
     `period_hint` selects the periodic route; pass it only when g is
     genuinely periodic with that period P (rational-support laws under
     rational weights; never float weights).  The integral is then
-    int_0^P g(u) psi_1(u/P) / P^2 du, exactly.  Otherwise doubling blocks
-    [0, 12], [12, 24], ... run until the bound 0 <= int_T^inf g/t^2 <=
-    sup_bound/T, whose midpoint is added, leaves the error under tol.
+    int_0^P g(u) psi_1(u/P) / P^2 du, exactly.
+
+    Off the period, `bohr` = (M, K, shift), or a function returning it
+    that runs only on this route, describes g = 1 - psi with
+    psi(t) = E cos(tS) for a finite law S: M = P(S = 0), the Bohr mean of
+    psi, and K = E[|S|^-1; S != 0], read from a law whose atoms lie within
+    `shift` of those of S (0 when exact).  One integral runs over [0, T]
+    with T = sqrt(2K/eps), eps = 0.2 pi tol, and the tail adds
+    (1 - M)/T; the error is (2/pi) (quadrature error + 2K/T^2) + shift,
+    where moving atoms by at most `shift` moves the tail term by at most
+    (pi/2) shift.  A budget too small to seed [0, T] at panel width
+    pi/rate shrinks T to what it covers, charges 2K/T^2 there and flags
+    the result unconverged.  The result's `tail` is (T, M, K).
+
+    Without either, doubling blocks [0, 12], [12, 24], ... run until the
+    bound 0 <= int_T^inf g/t^2 <= sup_bound/T, whose midpoint is added,
+    leaves the error under tol.
 
     `rate_hint` bounds |d/dt| of the oscillatory part and seeds the
     subdivision with panels of width pi/rate, so narrow features are not
     missed by the panel rule.  `max_evals` caps the integrand points; a run
-    that exhausts it returns what it integrated (plus the bound's midpoint
-    at the T reached) flagged unconverged.
+    that exhausts it returns what it integrated (plus the tail term at the
+    T reached) flagged unconverged.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -263,7 +292,7 @@ def integrate_khinchin_tail(
             raise ValueError("period_hint must be a positive finite number")
         # Wider than pi/rate, seed panels can step over the integrand's
         # features while the panel rule agrees with itself on them; the
-        # aperiodic route's truncation bound sup|g|/T needs no period.
+        # aperiodic routes need no period.
         periodic = _seed_count(0.0, period, seed_width) <= SEED_CAP
     if periodic:
         pref = 1.0 / (period * period)
@@ -278,6 +307,21 @@ def integrate_khinchin_tail(
 
     def f(ts):
         return _evaluate(g, ts) / ts**2
+
+    if bohr is not None:
+        mean, k, shift = (float(x) for x in (bohr() if callable(bohr) else bohr))
+        # (2/pi) 2K/T^2 = 0.4 tol, and the quadrature's 0.5 tol max(1, raw)
+        # is at most 0.5 tol max(1, value) after the factor 2/pi
+        cut = max(math.sqrt(2.0 * k / (0.2 * math.pi * tol)), seed_width)
+        panels = max(max_evals // 15, 1)
+        short = _seed_count(0.0, cut, seed_width) > panels
+        if short:
+            cut = panels * seed_width
+        res = _integrate_seeded(f, 0.0, cut, seed_width, 0.5 * tol, max_evals)
+        value = two_over_pi * (res.value + (1.0 - mean) / cut)
+        abs_error = two_over_pi * (res.abs_error + 2.0 * k / (cut * cut)) + shift
+        converged = res.converged and not short and abs_error <= tol * max(1.0, abs(value))
+        return QuadratureResult(value, abs_error, res.evaluations, converged, (cut, mean, k))
 
     raw_val = raw_err = 0.0
     evals = 0

@@ -151,7 +151,27 @@ def test_haagerup_dual_route(capsys):
     assert obj["claim"] == "abs-moment-dual-route"
     assert obj["witness"]["enumeration"] == "209/192"
     assert obj["witness"]["converged"] is True
+    assert obj["witness"]["tail"] is None  # periodic route
     assert obj["pass"] is True
+
+
+def test_haagerup_witness_shows_the_by_parts_tail(capsys, monkeypatch):
+    # the sum law the enumeration builds also gives M and K: no second convolution
+    from khinchin_lab import haagerup
+
+    def second_convolution(*args, **kwargs):
+        raise AssertionError("the sum law was built twice")
+
+    monkeypatch.setattr(haagerup, "convolve_weighted", second_convolution)
+    code, out, err = run_cli(capsys, "haagerup", "--weights", "1,1.4142135623730951",
+                             "--rho0", "1/2", "--L", "1", "--tol", "1e-6")
+    tail = json.loads(out)["witness"]["tail"]
+    assert code == 0, err
+    # S = X1 + sqrt(2) X2: P(S = 0) = 1/4, E[1/|S|; S != 0] = 1/4 + 1/(4 sqrt 2) + sqrt(2)/4
+    assert tail["M"] == 0.25
+    assert tail["K"] == pytest.approx(0.25 + 3.0 / (4.0 * math.sqrt(2.0)), rel=1e-11)
+    assert tail["T"] == pytest.approx(math.sqrt(2.0 * tail["K"] / (0.2 * math.pi * 1e-6)),
+                                      rel=1e-11)
 
 
 def test_haagerup_witness_shows_unconverged_integral(capsys):

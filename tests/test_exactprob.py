@@ -174,6 +174,19 @@ def test_float_convolution_matches_loop_reference(rho0, L, weights):
     assert s.atoms == tuple(want)
 
 
+@given(rho0=rho0s, L=st.integers(1, 2),
+       weights=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=3))
+@example(rho0=Fraction(1, 2), L=1, weights=[0.1, 0.2, 0.3])
+def test_merge_shift_bounds_every_atom_move(rho0, L, weights):
+    law = make_step_law(StepLawParams(rho0, L))
+    s = convolve_weighted([law] * len(weights), weights)
+    values = [Fraction(v) for v in s.values]
+    shift = Fraction(s.merge_shift)
+    for exact in oracles.enum_distribution(weights, [list(law.atoms)] * len(weights)):
+        assert min(abs(v - exact) for v in values) <= shift
+    assert convolve_weighted([law] * 2, [1, Fraction(1, 3)]).merge_shift == 0.0
+
+
 def test_float_weights_match_rational_weights_atom_for_atom():
     # 0.1 + 0.2 - 0.3 = 5.6e-17 in floats merges onto the exact sum's 0
     law = make_step_law(StepLawParams(Fraction(1, 2), 1))

@@ -154,6 +154,31 @@ def test_first_abs_moment_integral_irrational_weights():
     assert res.value == pytest.approx(r, abs=2e-5)
 
 
+def test_aperiodic_tail_three_irrational_weights():
+    w = [1.0, math.sqrt(2.0), 0.3]
+    exact = oracles.enum_abs_moment_float(w, [oracles.step_atoms(Fraction(1, 2), 1)] * 3, 1)
+    res = first_abs_moment_integral(w, HALF, tol=1e-8, max_evals=500_000)
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
+def test_aperiodic_tail_uses_the_sums_zero_mass():
+    # S = X1 + X2 + 2 X3 for the coin: P(S = 0) = 1/4, not rho0^3 = 0, and E|S| = 2
+    res = first_abs_moment_integral([1.0, 1.0, 2.0], COIN, tol=1e-8, max_evals=500_000)
+    assert res.converged
+    assert abs(res.value - 2.0) <= res.abs_error
+    assert res.tail[1] == 0.25
+
+
+@given(rho0=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+       L=st.integers(1, 2), weights=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3))
+def test_aperiodic_tail_within_its_error(rho0, L, weights):
+    exact = oracles.enum_abs_moment_float(weights, [oracles.step_atoms(rho0, L)] * len(weights), 1)
+    res = first_abs_moment_integral(weights, make_step_law(StepLawParams(rho0, L)), tol=1e-6)
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
 def test_charfn_power_integral_is_first_moment_at_s1():
     for law in (HALF, make_step_law(StepLawParams(Fraction(3, 4), 2))):
         res = charfn_power_integral(law, 1.0)

@@ -193,6 +193,14 @@ def test_budget_exhaustion_flags_nonconvergence():
         res.require_converged()
 
 
+def test_seed_panels_fit_the_budget():
+    # 1000 seed panels against a 60-point budget: every 250th breakpoint stays
+    res = integrate_adaptive(np.sin, 0.0, 10.0, tol=1e-14, max_evals=60,
+                             breakpoints=np.linspace(0, 10, 1001)[1:-1])
+    assert res.evaluations <= 60
+    assert not res.converged
+
+
 def test_linearity_within_error_budget():
     f = lambda x: np.exp(-x) * np.sin(x)
     g = lambda x: x ** 3
@@ -244,6 +252,19 @@ def test_tail_aperiodic_route():
         period_hint=None, tol=1e-5, rate_hint=1.0 + r2)
     assert res.converged
     assert abs(res.value - r2) < 2e-5
+
+
+def test_tail_by_parts_route():
+    # S = X1 + sqrt(2) X2 for the coin has atoms +-(sqrt(2) + 1) and
+    # +-(sqrt(2) - 1), 1/4 each: M = P(S = 0) = 0 and K = E 1/|S| = sqrt(2)
+    r2 = math.sqrt(2.0)
+    res = integrate_khinchin_tail(
+        lambda t: 1.0 - np.cos(t) * np.cos(r2 * t),
+        period_hint=None, tol=1e-8, rate_hint=1.0 + r2, bohr=(0.0, r2, 0.0),
+        max_evals=500_000)
+    assert res.converged
+    assert abs(res.value - r2) <= res.abs_error
+    assert res.tail[1:] == (0.0, r2)
 
 
 def test_tail_aperiodic_budget_flag():
