@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactprob import (
-    SUPPORT_GUARD,
     StepLawParams,
     SymmetricAtomLaw,
     convolve_weighted,
@@ -154,12 +153,14 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
                               sum_law: SymmetricAtomLaw | None = None) -> QuadratureResult:
     """E|sum_j a_j Y_j| through the characteristic-function integral.
 
-    Off the period, the tail past the cut T comes from integration by parts
-    with M = P(S = 0) and K = E[|S|^-1; S != 0] of the sum S, while the
-    product of the summands' atom counts is within SUPPORT_GUARD; past it
-    the doubling blocks run.  The law of S is `sum_law` when given (it must
-    be convolve_weighted([law] * n, weights)), else it is built here, once
-    and only when that tail runs.
+    With rational support and weights the integrand is periodic and the
+    whole half-line folds onto half a period.  Without a period, or when
+    its half needs more than quadrature.SEED_CAP seed panels, the tail past
+    the cut T comes from integration by parts with M = P(S = 0) and
+    K = E[|S|^-1; S != 0] of the sum S.  The law of S is `sum_law` when
+    given (it must be convolve_weighted([law] * n, weights)), else it is
+    built here, once and only when that route runs; convolve_weighted's
+    ValueError past its support guard then propagates.
     """
     if len(weights) == 0:
         raise ValueError("need at least one weight")
@@ -192,8 +193,7 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
         period_hint=product_charfn_period(law, weights),
         tol=tol,
         rate_hint=sum(abs(x) for x in a) * v_max,
-        sup_bound=2.0,
-        bohr=bohr if len(law) ** len(weights) <= SUPPORT_GUARD else None,
+        bohr=bohr,
         max_evals=max_evals,
     )
 
@@ -201,11 +201,20 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
 def charfn_power_integral(law: SymmetricAtomLaw, s: float,
                           tol: float = 1e-8,
                           max_evals: int = 10_000_000) -> QuadratureResult:
-    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt, s >= 1."""
+    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt, s >= 1.
+
+    The law needs rational support (a ValueError otherwise): the integrand
+    is then periodic and the integral runs over half a period against
+    (pi/P)^2 csc^2(pi u/P).  The point mass at 0 gives F = 0 exactly.
+    """
     sf = float(s)
     if not (sf >= 1.0):
         raise ValueError(f"s must satisfy s >= 1, got {s!r}")
+    if not law.is_rational:
+        raise ValueError("charfn_power_integral needs a law with rational support")
     phi = CharFn.from_law(law)
+    if not phi.frequencies:  # the point mass at 0: the integrand is 0
+        return QuadratureResult(0.0, 0.0, 0)
     root = math.sqrt(sf)
     rate = root * float(first_abs_moment(law))
 
@@ -223,8 +232,7 @@ def charfn_power_integral(law: SymmetricAtomLaw, s: float,
         g,
         period_hint=power_charfn_period(law, sf),
         tol=tol,
-        rate_hint=rate if rate > 0 else None,
-        sup_bound=1.0,
+        rate_hint=rate,
         max_evals=max_evals,
     )
 

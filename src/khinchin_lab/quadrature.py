@@ -19,20 +19,20 @@ error estimate can differ from one-panel calls only through the summation
 order inside its 15-term rule.  The evaluation budget covers the initial
 subdivision too: past it, every k-th breakpoint is kept.
 
-The semi-infinite routine integrates from t = 0 by one of three routes; the
-integrand g(t)/t^2 is analytic at 0 and no Gauss-Kronrod node touches an
-endpoint, so the origin needs no special zone.
+The semi-infinite routine integrates from t = 0 by one of two routes, each
+one finite integral with a closed-form remainder; the integrand is bounded
+at 0 and no Gauss-Kronrod node touches an endpoint, so the origin needs no
+special zone.
 - Periodic g, with period P (laws with rational support and commensurable
-  rational weights): the whole half-line folds onto one period,
-  sum_{k>=0} (u + kP)^(-2) = psi_1(u/P)/P^2, a trigamma value, so
-  int_0^inf g/t^2 = int_0^P g(u) psi_1(u/P)/P^2 du with no truncation error.
+  rational weights): g is even, so the whole line folds onto half a period,
+  sum_{k in Z} (u + kP)^(-2) = (pi/P)^2 csc^2(pi u/P), and
+  int_0^inf g/t^2 = int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du with no
+  truncation error.
 - g = 1 - psi with psi(t) = E cos(tS) for a known finite law S: with
   M = P(S = 0) and K = E[|S|^-1; S != 0], integration by parts gives
   int_T^inf g/t^2 = (1 - M)/T - R with |R| <= 2K/T^2, since the
   antiderivative of psi - M is bounded by K.  One integral over [0, T]
   with T = sqrt(2K/eps) leaves a tail error eps.
-- Any other g: T grows in doubling blocks under the coarse bound
-  sup|g|/T.
 Each route reports the achieved error, flagged as non-converged when the
 tolerance is out of reach within the evaluation budget.
 """
@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import polygamma
 
 __all__ = [
     "QuadratureError",
@@ -57,7 +56,8 @@ _EPS = np.finfo(float).eps
 #: seed panels per integrand call (15 nodes each)
 PANEL_CHUNK = 128
 
-#: most seed panels the tail routine lays over one integral
+#: most seed panels the by-parts tail lays over [0, T]; a period whose half
+#: needs more goes by parts when the caller gives `bohr`
 SEED_CAP = 20_000
 
 
@@ -220,18 +220,18 @@ def integrate_adaptive(
     return QuadratureResult(total_val, total_err, evals, converged)
 
 
-def _seed_count(lo: float, hi: float, width: float) -> int:
-    """Number of panels of roughly the given width that cover [lo, hi]."""
-    return max(int((hi - lo) / max(width, 1e-12)), 0)
+def _seed_count(hi: float, width: float) -> int:
+    """Number of panels of roughly the given width that cover [0, hi]."""
+    return max(int(hi / max(width, 1e-12)), 0)
 
 
-def _integrate_seeded(f, lo: float, hi: float, width: float, tol: float,
-                      max_evals: int) -> QuadratureResult:
-    """`integrate_adaptive` over [lo, hi] from at most SEED_CAP uniform seed
+def _integrate_seeded(f, hi: float, width: float, tol: float, max_evals: int,
+                      cap: int) -> QuadratureResult:
+    """`integrate_adaptive` over [0, hi] from at most `cap` uniform seed
     panels of about the given width."""
-    n = min(_seed_count(lo, hi, width), SEED_CAP)
-    return integrate_adaptive(f, lo, hi, tol, max_evals=max_evals,
-                              breakpoints=np.linspace(lo, hi, n + 1)[1:-1])
+    n = min(_seed_count(hi, width), cap)
+    return integrate_adaptive(f, 0.0, hi, tol, max_evals=max_evals,
+                              breakpoints=np.linspace(0.0, hi, n + 1)[1:-1])
 
 
 def integrate_khinchin_tail(
@@ -240,38 +240,39 @@ def integrate_khinchin_tail(
     tol: float = 1e-8,
     *,
     rate_hint: float | None = None,
-    sup_bound: float = 2.0,
     bohr=None,
     max_evals: int = 10_000_000,
 ) -> QuadratureResult:
     """Compute (2/pi) * int_0^inf g(t)/t^2 dt.
 
-    Preconditions on g: even, bounded by `sup_bound`, g(0) = 0 with
-    g(t) = O(t^2) at the origin (true for g(t) = 1 - prod_j phi_j(a_j t)
-    built from characteristic functions of symmetric laws, and for the
-    |phi|^s variants).  Every route starts at t = 0, so g must keep its
-    relative accuracy at small t: build it from 1 - phi, not from phi.
+    Preconditions on g: even, bounded, g(0) = 0 with g(t) = O(t^2) at the
+    origin (true for g(t) = 1 - prod_j phi_j(a_j t) built from
+    characteristic functions of symmetric laws, and for the |phi|^s
+    variants).  Both routes start at t = 0, so g must keep its relative
+    accuracy at small t: build it from 1 - phi, not from phi.
 
-    `period_hint` selects the periodic route; pass it only when g is
-    genuinely periodic with that period P (rational-support laws under
-    rational weights; never float weights).  The integral is then
-    int_0^P g(u) psi_1(u/P) / P^2 du, exactly.
+    `period_hint` is the period P of g; pass it only when g is genuinely
+    periodic (rational-support laws under rational weights; never float
+    weights).  The integral is then
+    int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du, exactly, on seed panels of
+    width pi/rate up to the evaluation budget; a half period that needs
+    more panels than the budget allows is seeded with what it allows and
+    the result is flagged unconverged.
 
-    Off the period, `bohr` = (M, K, shift), or a function returning it
-    that runs only on this route, describes g = 1 - psi with
-    psi(t) = E cos(tS) for a finite law S: M = P(S = 0), the Bohr mean of
-    psi, and K = E[|S|^-1; S != 0], read from a law whose atoms lie within
-    `shift` of those of S (0 when exact).  One integral runs over [0, T]
-    with T = sqrt(2K/eps), eps = 0.2 pi tol, and the tail adds
+    `bohr` = (M, K, shift), or a function returning it that runs only on
+    this route, describes g = 1 - psi with psi(t) = E cos(tS) for a finite
+    law S: M = P(S = 0), the Bohr mean of psi, and K = E[|S|^-1; S != 0],
+    read from a law whose atoms lie within `shift` of those of S (0 when
+    exact).  It is used without a period, and in place of one whose half
+    period needs more than SEED_CAP seed panels.  One integral runs over
+    [0, T] with T = sqrt(2K/eps), eps = 0.2 pi tol, and the tail adds
     (1 - M)/T; the error is (2/pi) (quadrature error + 2K/T^2) + shift,
     where moving atoms by at most `shift` moves the tail term by at most
     (pi/2) shift.  A budget too small to seed [0, T] at panel width
     pi/rate shrinks T to what it covers, charges 2K/T^2 there and flags
     the result unconverged.  The result's `tail` is (T, M, K).
 
-    Without either, doubling blocks [0, 12], [12, 24], ... run until the
-    bound 0 <= int_T^inf g/t^2 <= sup_bound/T, whose midpoint is added,
-    leaves the error under tol.
+    With neither `period_hint` nor `bohr` a ValueError is raised.
 
     `rate_hint` bounds |d/dt| of the oscillatory part and seeds the
     subdivision with panels of width pi/rate, so narrow features are not
@@ -281,63 +282,50 @@ def integrate_khinchin_tail(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if period_hint is None and bohr is None:
+        raise ValueError("the tail needs period_hint (g periodic) or bohr "
+                         "(g = 1 - E cos(tS) for a finite law S)")
     rate = max(float(rate_hint) if rate_hint else 1.0, 1e-6)
     seed_width = math.pi / rate
+    panels = max(max_evals // 15, 1)
     two_over_pi = 2.0 / math.pi
 
-    periodic = period_hint is not None
-    if periodic:
+    if period_hint is not None:
         period = float(period_hint)
         if not (period > 0.0 and math.isfinite(period)):
             raise ValueError("period_hint must be a positive finite number")
+        half = 0.5 * period
+        seeds = _seed_count(half, seed_width)
         # Wider than pi/rate, seed panels can step over the integrand's
-        # features while the panel rule agrees with itself on them; the
-        # aperiodic routes need no period.
-        periodic = _seed_count(0.0, period, seed_width) <= SEED_CAP
-    if periodic:
-        pref = 1.0 / (period * period)
+        # features while the panel rule agrees with itself on them; with
+        # `bohr` known, a half period past SEED_CAP seeds goes by parts.
+        if bohr is None or seeds <= SEED_CAP:
+            scale = math.pi / period
 
-        def weighted(us):
-            return _evaluate(g, us) * polygamma(1, us / period) * pref
+            def weighted(us):
+                # sum_{k in Z} (u + kP)^-2 = (pi/P)^2 csc^2(pi u/P), and g is
+                # even and P-periodic: the half-line folds onto [0, P/2]
+                w = scale / np.sin(scale * us)
+                return _evaluate(g, us) * (w * w)
 
-        res = _integrate_seeded(weighted, 0.0, period, seed_width, tol, max_evals)
-        # within tol of the raw integral is within tol after the factor 2/pi
-        return replace(res, value=two_over_pi * res.value,
-                       abs_error=two_over_pi * res.abs_error)
+            res = _integrate_seeded(weighted, half, seed_width, tol, max_evals, panels)
+            # within tol of the raw integral is within tol after the factor 2/pi
+            return replace(res, value=two_over_pi * res.value,
+                           abs_error=two_over_pi * res.abs_error,
+                           converged=res.converged and seeds <= panels)
 
     def f(ts):
         return _evaluate(g, ts) / ts**2
 
-    if bohr is not None:
-        mean, k, shift = (float(x) for x in (bohr() if callable(bohr) else bohr))
-        # (2/pi) 2K/T^2 = 0.4 tol, and the quadrature's 0.5 tol max(1, raw)
-        # is at most 0.5 tol max(1, value) after the factor 2/pi
-        cut = max(math.sqrt(2.0 * k / (0.2 * math.pi * tol)), seed_width)
-        panels = max(max_evals // 15, 1)
-        short = _seed_count(0.0, cut, seed_width) > panels
-        if short:
-            cut = panels * seed_width
-        res = _integrate_seeded(f, 0.0, cut, seed_width, 0.5 * tol, max_evals)
-        value = two_over_pi * (res.value + (1.0 - mean) / cut)
-        abs_error = two_over_pi * (res.abs_error + 2.0 * k / (cut * cut)) + shift
-        converged = res.converged and not short and abs_error <= tol * max(1.0, abs(value))
-        return QuadratureResult(value, abs_error, res.evaluations, converged, (cut, mean, k))
-
-    raw_val = raw_err = 0.0
-    evals = 0
-    lo, hi = 0.0, 12.0
-    while True:
-        blk = _integrate_seeded(f, lo, hi, seed_width, 0.2 * tol, max_evals - evals)
-        raw_val += blk.value
-        raw_err += blk.abs_error
-        evals += blk.evaluations
-        # 0 <= int_hi^inf g/t^2 <= sup_bound/hi: add the midpoint.
-        half = 0.5 * sup_bound / hi
-        value = two_over_pi * (raw_val + half)
-        abs_error = two_over_pi * (raw_err + half)
-        converged = blk.converged and abs_error <= 0.9 * tol * max(1.0, abs(value))
-        # further blocks cannot make up for one short of its tol, and each
-        # costs at least one panel
-        if converged or not blk.converged or evals + 15 > max_evals:
-            return QuadratureResult(value, abs_error, evals, converged)
-        lo, hi = hi, 2.0 * hi
+    mean, k, shift = (float(x) for x in (bohr() if callable(bohr) else bohr))
+    # (2/pi) 2K/T^2 = 0.4 tol, and the quadrature's 0.5 tol max(1, raw)
+    # is at most 0.5 tol max(1, value) after the factor 2/pi
+    cut = max(math.sqrt(2.0 * k / (0.2 * math.pi * tol)), seed_width)
+    short = _seed_count(cut, seed_width) > panels
+    if short:
+        cut = panels * seed_width
+    res = _integrate_seeded(f, cut, seed_width, 0.5 * tol, max_evals, SEED_CAP)
+    value = two_over_pi * (res.value + (1.0 - mean) / cut)
+    abs_error = two_over_pi * (res.abs_error + 2.0 * k / (cut * cut)) + shift
+    converged = res.converged and not short and abs_error <= tol * max(1.0, abs(value))
+    return QuadratureResult(value, abs_error, res.evaluations, converged, (cut, mean, k))

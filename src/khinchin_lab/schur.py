@@ -438,8 +438,10 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     out = []
+    s = convolve_weighted([law], [1])
     for n in range(1, n_max + 1):
-        s = convolve_weighted([law] * n, [1] * n)
+        if n > 1:
+            s = convolve_weighted([s, law], [1, 1])  # S_n = S_{n-1} + X_n
         n_p = abs_moment(s, p).value ** (1.0 / float(p))
         n_2 = math.sqrt(float(second_moment(s)))
         out.append(n_p / n_2)

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from khinchin_lab.cli import CliInputError, main, parse_weights
+from khinchin_lab.exactprob import SUPPORT_GUARD
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +195,20 @@ def test_haagerup_wide_weights_past_seed_cap(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_haagerup_past_support_guard_goes_by_parts(capsys):
+    # 3^15 atom tuples exceed SUPPORT_GUARD, but the sum law the enumeration
+    # builds has 31 atoms, and its M and K cut the tail
+    assert 3 ** 15 > SUPPORT_GUARD
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "haagerup", "--weights", ",".join(["0.5"] * 15),
+                             "--rho0", "1/2", "--L", "1", "--tol", "1e-8")
+    elapsed = time.perf_counter() - start
+    obj = json.loads(out)
+    assert code == 0, err
+    assert obj["witness"]["tail"] is not None
+    assert elapsed < 1.0
+
+
 # ---------------------------------------------------------------- necessity
 
 def test_necessity_battery(capsys):
@@ -217,6 +233,13 @@ def test_sweep_csv(capsys):
     last = lines[-1].split(",")
     assert float(last[0]) == 2.0
     assert float(last[1]) == pytest.approx(1 / math.sqrt(2), abs=1e-5)
+
+
+def test_sweep_point_mass_is_zero(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--rho0", "1", "--n", "3")
+    rows = json.loads(out)
+    assert code == 0, err
+    assert [(row["F_value"], row["err"]) for row in rows] == [(0.0, 0.0)] * 3
 
 
 def test_sweep_argument_validation(capsys):

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from khinchin_lab.exactprob import StepLawParams, convolve_weighted, first_abs_moment, make_step_law
+from khinchin_lab import quadrature
+from khinchin_lab.exactprob import (
+    StepLawParams,
+    convolve_weighted,
+    first_abs_moment,
+    make_step_law,
+    make_symmetric_law,
+)
 from khinchin_lab.haagerup import (
     CharFn,
     charfn,
@@ -139,11 +146,23 @@ def test_budget_caps_both_tail_routes():
 
 
 def test_periodic_tail_past_seed_cap_takes_aperiodic_route():
-    # period ~6e15 against features near t ~ 1/rate ~ 3e4: periodic seed
-    # panels would be ~3e11 wide, so the doubling blocks run instead
+    # period ~6e15 against features near t ~ 1/rate ~ 3e4: half a period
+    # needs ~3e10 seed panels, far past SEED_CAP, so the tail goes by parts
     w = [Fraction(1, 100003), Fraction(1, 100019), Fraction(1, 100043)]
     exact = float(first_abs_moment(convolve_weighted([HALF] * 3, w)))
     res = first_abs_moment_integral(w, HALF)
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
+@given(rho0=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+       L=st.integers(1, 2),
+       weights=st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+                        min_size=1, max_size=3))
+def test_periodic_tail_within_its_error(rho0, L, weights):
+    exact = float(oracles.enum_abs_moment(weights, [oracles.step_atoms(rho0, L)] * len(weights), 1))
+    res = first_abs_moment_integral(weights, make_step_law(StepLawParams(rho0, L)), tol=1e-8)
+    assert res.tail is None  # the periodic route
     assert res.converged
     assert abs(res.value - exact) <= res.abs_error
 
@@ -183,6 +202,28 @@ def test_charfn_power_integral_is_first_moment_at_s1():
     for law in (HALF, make_step_law(StepLawParams(Fraction(3, 4), 2))):
         res = charfn_power_integral(law, 1.0)
         assert res.value == pytest.approx(float(first_abs_moment(law)), abs=1e-8)
+
+
+def test_charfn_power_integral_periodic_past_seed_cap(monkeypatch):
+    # with no `bohr` to go by parts the period is integrated whatever
+    # SEED_CAP says: here half a period takes 4 seed panels against a cap of 2
+    monkeypatch.setattr(quadrature, "SEED_CAP", 2)
+    atoms = oracles.step_atoms(Fraction(1, 2), 3)
+    exact = float(oracles.enum_abs_moment([1] * 4, [atoms] * 4, 1)) / 2  # E|S_4| / sqrt(4)
+    res = charfn_power_integral(make_step_law(StepLawParams(Fraction(1, 2), 3)), 4.0, tol=1e-10)
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
+def test_charfn_power_integral_point_mass_is_zero():
+    res = charfn_power_integral(make_step_law(StepLawParams(Fraction(1), 2)), 3.0)
+    assert (res.value, res.abs_error, res.converged) == (0.0, 0.0, True)
+
+
+def test_charfn_power_integral_needs_rational_support():
+    law = make_symmetric_law(Fraction(1, 2), {math.sqrt(2.0): Fraction(1, 4)})
+    with pytest.raises(ValueError, match="rational support"):
+        charfn_power_integral(law, 2.0)
 
 
 # ---------------------------------------------------------------- F function

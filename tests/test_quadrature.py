@@ -243,15 +243,13 @@ def test_tail_zero_integrand():
     assert abs(res.value) < 1e-12
 
 
-def test_tail_aperiodic_route():
-    # E|X1 + sqrt(2) X2| = sqrt(2) for the coin: incommensurable weights,
-    # so no period hint is available and the doubling tail must be used.
+def test_tail_needs_a_period_or_bohr():
+    # E|X1 + sqrt(2) X2| for the coin: no period, and without the law's
+    # M and K there is no closed-form remainder to cut the integral with
     r2 = math.sqrt(2.0)
-    res = integrate_khinchin_tail(
-        lambda t: 1.0 - np.cos(t) * np.cos(r2 * t),
-        period_hint=None, tol=1e-5, rate_hint=1.0 + r2)
-    assert res.converged
-    assert abs(res.value - r2) < 2e-5
+    with pytest.raises(ValueError, match="period_hint.*bohr"):
+        integrate_khinchin_tail(lambda t: 1.0 - np.cos(t) * np.cos(r2 * t),
+                                period_hint=None, tol=1e-5, rate_hint=1.0 + r2)
 
 
 def test_tail_by_parts_route():
@@ -270,7 +268,7 @@ def test_tail_by_parts_route():
 def test_tail_aperiodic_budget_flag():
     res = integrate_khinchin_tail(
         lambda t: 1.0 - np.cos(t) * np.cos(math.sqrt(2.0) * t),
-        period_hint=None, tol=1e-10, max_evals=50_000)
+        period_hint=None, tol=1e-10, bohr=(0.0, math.sqrt(2.0), 0.0), max_evals=50_000)
     assert not res.converged
     assert res.evaluations <= 50_000
 
