@@ -34,6 +34,7 @@ from .exactprob import (
     make_step_law,
     make_symmetric_law,
     second_moment,
+    sum_even_moment,
 )
 from .quadrature import QuadratureResult, integrate_khinchin_tail
 from .reports import VerdictReport
@@ -323,9 +324,8 @@ def l1_l2_verdict(law: SymmetricAtomLaw, weights: Sequence) -> VerdictReport:
     m2y = second_moment(law)
     if m2y == 0:
         raise ValueError("law is degenerate at zero")
-    s_law = convolve_weighted([law] * len(weights), list(weights))
-    n1 = first_abs_moment(s_law)
-    m2s = second_moment(s_law)
+    n1 = first_abs_moment(convolve_weighted([law] * len(weights), list(weights)))
+    m2s = sum_even_moment([law] * len(weights), weights, 2)  # sum of a_j^2 E Y^2
     ey = first_abs_moment(law)
     exact = law.is_rational and _all_rational(weights)
     if exact:

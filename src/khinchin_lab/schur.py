@@ -35,11 +35,13 @@ from .exactprob import (
     SUPPORT_GUARD,
     SymmetricAtomLaw,
     StepLawParams,
+    _even_moment_prefixes,
     abs_moment,
     convolve_weighted,
     gaussian_norm,
     make_step_law,
-    second_moment,
+    sum_abs_moment,
+    sum_even_moment,
 )
 from .reports import VerdictReport
 
@@ -404,7 +406,10 @@ def two_point_schur_check(a, b, rho0, w_law: SymmetricAtomLaw, p) -> VerdictRepo
 def verify_gaussian_comparison(weights: Sequence, laws: Sequence[SymmetricAtomLaw],
                                p: float) -> VerdictReport:
     """Check ||sum a_j X_j||_p <= ||G||_p ||sum a_j X_j||_2 for independent
-    symmetric block laws with no mass at zero and p >= 3."""
+    symmetric block laws with no mass at zero and p >= 3.
+
+    The 2-norm, and at even p on rational input the p-norm too, come from
+    the summands' moments, with no convolution."""
     if not (p >= 3):
         raise ValueError(f"p must satisfy p >= 3, got {p!r}")
     if len(weights) != len(laws):
@@ -412,11 +417,9 @@ def verify_gaussian_comparison(weights: Sequence, laws: Sequence[SymmetricAtomLa
     for k, law in enumerate(laws):
         if law.zero_mass != 0:
             raise ValueError(f"law {k} has mass {law.zero_mass} at zero; the comparison needs none")
-    s = convolve_weighted(laws, list(weights))
-    mp = abs_moment(s, p)
+    mp = sum_abs_moment(laws, weights, p)
     n_p = mp.value ** (1.0 / float(p))
-    m2 = second_moment(s)
-    n_2 = math.sqrt(float(m2))
+    n_2 = math.sqrt(float(sum_even_moment(laws, weights, 2)))
     c_p = gaussian_norm(p)
     bound = c_p * n_2
     margin = (bound - n_p) / max(bound, n_p)
@@ -437,14 +440,20 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    pf = float(p)
+    even = pf >= 2 and pf % 2 == 0 and law.is_rational
+    # E S_n^2 = n E X^2; at even p, E S_n^p comes from the same recursion
+    prefixes = _even_moment_prefixes([law] * n_max, [1] * n_max, int(pf) if even else 2)
     out = []
-    s = convolve_weighted([law], [1])
-    for n in range(1, n_max + 1):
-        if n > 1:
-            s = convolve_weighted([s, law], [1, 1])  # S_n = S_{n-1} + X_n
-        n_p = abs_moment(s, p).value ** (1.0 / float(p))
-        n_2 = math.sqrt(float(second_moment(s)))
-        out.append(n_p / n_2)
+    s = None
+    for moments in prefixes:
+        if even:
+            m_p = float(moments[-1])
+        else:
+            # S_n = S_{n-1} + X_n
+            s = convolve_weighted([law], [1]) if s is None else convolve_weighted([s, law], [1, 1])
+            m_p = abs_moment(s, p).value
+        out.append(m_p ** (1.0 / pf) / math.sqrt(float(moments[1])))
     return out
 
 

@@ -135,6 +135,19 @@ def test_verify_comparison_needs_no_zero_mass(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_verify_comparison_at_even_p_past_the_support_guard(capsys):
+    # E S^4 comes from the summands, so even p needs no convolution; p = 3
+    # still convolves, and the last step would hold 8^8 entries
+    weights = "1/101,1/103,1/107,1/109,1/113,1/127,1/131,1/137,1/139"
+    argv = ("verify", "--claim", "comparison", "--rho0", "0", "--L", "4", "--weights", weights)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv, "--p", "4")
+    assert code == 0 and time.perf_counter() - t0 < 1.0
+    assert json.loads(out)["witness"]["norm_p"] > 0
+    code, out, err = run_cli(capsys, *argv, "--p", "3")
+    assert code == 2 and out == "" and "exceeds the guard" in err
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "two-point", "--format", "csv")
     lines = out.strip().split("\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
+from khinchin_lab import exactprob
 from khinchin_lab.exactprob import (
     MERGE_RTOL,
     GaussianRef,
@@ -27,6 +28,8 @@ from khinchin_lab.exactprob import (
     second_moment,
     shifted_gaussian_moment,
     sigma_of,
+    sum_abs_moment,
+    sum_even_moment,
     weighted_sum_norm,
 )
 
@@ -56,6 +59,20 @@ def test_step_law_moments_closed_forms():
 def test_sigma_at_zero_mass_zero():
     law = make_step_law(StepLawParams(Fraction(0), 4))
     assert sigma_of(law) == pytest.approx(math.sqrt(5 * 9 / 6), abs=1e-14)
+
+
+@given(rho0=st.fractions(0, 1, max_denominator=12), L=st.integers(1, 8))
+@example(rho0=Fraction(0), L=1)
+@example(rho0=Fraction(1), L=3)
+@example(rho0=Fraction(1, 3**45), L=3)  # numerators past int64
+def test_step_law_grid_matches_its_atom_table(rho0, L):
+    law = make_step_law(StepLawParams(rho0, L))
+    ref = SymmetricAtomLaw([(v, m) for v, m in oracles.step_atoms(rho0, L) if m])
+    assert law.atoms == ref.atoms
+    assert (law._den, law._scale) == (ref._den, ref._scale)
+    assert law._values.tolist() == ref._values.tolist()
+    assert law._nums.tolist() == ref._nums.tolist()
+    assert law._values.dtype == ref._values.dtype and law._nums.dtype == ref._nums.dtype
 
 
 def test_degenerate_law_allowed():
@@ -341,6 +358,161 @@ def test_mismatched_lengths_rejected():
         convolve_weighted([law], [1, 2])
     with pytest.raises(ValueError):
         convolve_weighted([], [])
+
+
+# ---------------------------------------------------------------- exact moments
+
+def _grid_law(pos_values, pos_nums, zero_num=0):
+    """Symmetric grid law on +-pos_values (and 0 when zero_num > 0)."""
+    mid = [0] if zero_num else []
+    values = [-v for v in reversed(pos_values)] + mid + list(pos_values)
+    nums = list(reversed(pos_nums)) + ([zero_num] if zero_num else []) + list(pos_nums)
+    den = sum(nums)
+    return SymmetricAtomLaw._from_grid(exactprob._int_array(values), exactprob._int_array(nums),
+                                       den, 1)
+
+
+def _loop_power_sum(law, k):
+    """E|X|^k from the atom table, one Fraction at a time."""
+    return sum(m * abs(v) ** k for v, m in law.atoms)
+
+
+def _count_limb_dots(mp):
+    calls = []
+    real = exactprob._limb_dot
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    mp.setattr(exactprob, "_limb_dot", spy)
+    return calls
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
+                      min_size=1, max_size=40),
+       chunk=st.sampled_from([1, 3, 7, 2**20]))
+def test_limb_dot_is_the_exact_integer_dot(pairs, chunk):
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactprob, "_LIMB_CHUNK", chunk)
+        assert exactprob._limb_dot(a, b) == sum(x * y for x, y in pairs)
+
+
+@given(values=st.sets(st.integers(1, 2**21 - 1), min_size=1, max_size=150),
+       num_bits=st.integers(1, 54), k=st.integers(1, 4), zero=st.booleans(),
+       chunk=st.sampled_from([2, 5, 2**20]), seed=st.integers(0, 2**32 - 1))
+def test_limbs_equal_the_loop_on_random_int64_grids(values, num_bits, k, zero, chunk, seed):
+    # numerators below 2^54 keep the total mass, 2^54 * 301, inside int64
+    rng = np.random.default_rng(seed)
+    pos = sorted(values)
+    nums = [int(x) for x in rng.integers(1, 2**num_bits, len(pos), endpoint=True)]
+    law = _grid_law(pos, nums, int(rng.integers(1, 2**num_bits)) if zero else 0)
+    assert law._values.dtype == law._nums.dtype == np.int64
+    want = _loop_power_sum(law, k)
+    assert exactprob._exact_power_sum(law, k) == want
+    with pytest.MonkeyPatch.context() as mp:
+        # every law takes the limbs where v_max^k < 2^63, over small chunks
+        mp.setattr(exactprob, "_LIMB_MIN_ATOMS", 1)
+        mp.setattr(exactprob, "_LIMB_CHUNK", chunk)
+        calls = _count_limb_dots(mp)
+        assert exactprob._exact_power_sum(law, k) == want
+        assert len(calls) == (pos[-1] ** k < 2**63)
+
+
+@pytest.mark.parametrize("top, k_limbs", [(2**21 - 1, 3), (2**21, 2), (3_037_000_499, 2),
+                                          (3_037_000_500, 1), (2**62 - 1, 1)])
+def test_limbs_up_to_the_last_power_below_2_63(top, k_limbs):
+    # top^k_limbs < 2^63 <= top^(k_limbs + 1): the first power past it
+    # takes the loop, also when it would fit in 64 unsigned bits, and both
+    # give the atom table's moment
+    assert top**k_limbs < 2**63 <= top ** (k_limbs + 1)
+    pos = list(range(1, exactprob._LIMB_MIN_ATOMS)) + [top]
+    law = _grid_law(pos, [2**40 + 3 * j for j in range(len(pos))], 7)
+    for k in (k_limbs, k_limbs + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactprob, "_LIMB_CHUNK", 5)
+            calls = _count_limb_dots(mp)
+            assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
+            assert calls == ([len(pos)] if k == k_limbs else [])
+
+
+def test_object_grids_and_one_atom_laws_take_the_loop(monkeypatch):
+    calls = _count_limb_dots(monkeypatch)
+    monkeypatch.setattr(exactprob, "_LIMB_MIN_ATOMS", 1)
+    wide = _grid_law([j * 2**60 for j in range(1, 100)], list(range(1, 100)))
+    heavy = _grid_law(list(range(1, 100)), [2**62 + j for j in range(1, 100)])
+    assert wide._values.dtype == object and heavy._nums.dtype == object
+    for law in (wide, heavy):
+        for k in (1, 2, 3):
+            assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
+    assert calls == []
+    point = make_step_law(StepLawParams(Fraction(1), 2))
+    assert len(point) == 1 and all(abs_moment(point, k).exact == 0 for k in (1, 2, 3))
+    single = _grid_law([5], [1])
+    assert exactprob._exact_power_sum(single, 3) == 125 and calls == [1]
+
+
+def test_limbs_on_a_large_sum_law():
+    law = make_step_law(StepLawParams(Fraction(1, 2), 4))
+    s = convolve_weighted([law] * 5, [Fraction(2, 9), Fraction(2, 7), Fraction(7, 8),
+                                      Fraction(2, 11), Fraction(4, 5)])
+    assert len(s) == 59049 and s._values.dtype == np.int64
+    half = slice(len(s) // 2, None)
+    values, nums = s._values[half].tolist(), s._nums[half].tolist()
+    for k in (1, 2, 3, 4):
+        # the same sum as a Python loop over the atoms in integers, 0 included
+        want = Fraction(2 * sum(n * v**k for v, n in zip(values, nums)), s._den * s._scale**k)
+        assert exactprob._exact_power_sum(s, k) == want
+
+
+mixed_laws = st.lists(st.tuples(rho0s, st.integers(1, 2), signed_rationals),
+                      min_size=1, max_size=4)
+
+
+@given(summands=mixed_laws, k=st.sampled_from([2, 4, 6]))
+@example(summands=[(Fraction(0), 2, Fraction(0)), (Fraction(1, 2), 1, Fraction(-3, 2)),
+                   (Fraction(3, 4), 2, Fraction(5, 6))], k=6)
+def test_even_moment_recursion_equals_convolution(summands, k):
+    laws = [make_step_law(StepLawParams(rho0, L)) for rho0, L, _ in summands]
+    weights = [w for _, _, w in summands]
+    got = sum_even_moment(laws, weights, k)
+    assert isinstance(got, Fraction)
+    assert got == abs_moment(convolve_weighted(laws, weights), k).exact
+    atoms = [oracles.step_atoms(rho0, L) for rho0, L, _ in summands]
+    assert got == oracles.enum_abs_moment(weights, atoms, k)
+
+
+def test_even_moments_of_float_sums_and_bad_orders():
+    law = make_step_law(StepLawParams(Fraction(1, 3), 2))
+    weights = [0.3, 1.7, -0.45]
+    for k in (2, 4):
+        got = sum_even_moment([law] * 3, weights, k)
+        want = oracles.enum_abs_moment_float(weights, [oracles.step_atoms(Fraction(1, 3), 2)] * 3, k)
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-13)
+    assert sum_even_moment([law], [Fraction(1, 2)], 0) == 1
+    for k in (3, -2):
+        with pytest.raises(ValueError):
+            sum_even_moment([law], [1], k)
+    with pytest.raises(ValueError):
+        sum_even_moment([law, law], [1], 2)
+
+
+def test_even_p_norms_skip_the_support_guard():
+    # nine summands of 8 atoms on coprime scales: 8^8 = 16 777 216 entries in
+    # the last convolution step, past SUPPORT_GUARD
+    law = make_step_law(StepLawParams(Fraction(0), 4))
+    weights = [Fraction(1, q) for q in (101, 103, 107, 109, 113, 127, 131, 137, 139)]
+    m2 = sum(w * w for w in weights) * second_moment(law)
+    m4y = abs_moment(law, 4).exact
+    # E S^4 = sum w^4 E Y^4 + 3 ((sum w^2 E Y^2)^2 - sum w^4 (E Y^2)^2)
+    m4 = sum(w**4 for w in weights) * (m4y - 3 * second_moment(law) ** 2) + 3 * m2 * m2
+    norm = weighted_sum_norm(weights, law, 4)
+    assert norm.method is MomentMethod.EXACT_RATIONAL and norm.exact == m4
+    assert sum_abs_moment([law] * 9, weights, 4).exact == m4
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        weighted_sum_norm(weights, law, 3)
 
 
 # ---------------------------------------------------------------- norms

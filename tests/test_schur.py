@@ -15,6 +15,7 @@ from khinchin_lab.exactprob import (
     convolve_weighted,
     gaussian_norm,
     make_step_law,
+    second_moment,
 )
 from khinchin_lab.schur import (
     MajorizationPair,
@@ -320,6 +321,30 @@ def test_ratio_sequence_frozen():
             1.15252905017]
     assert seq == pytest.approx(want, abs=1e-9)
     assert all(x < gaussian_norm(3) for x in seq)
+
+
+@pytest.mark.parametrize("p", [3, 4, 6])
+def test_ratio_sequence_matches_the_convolved_sums(p):
+    # E S_n^2 = n E X^2, and E S_n^p at even p, come from the summands; the
+    # ratios equal those of the convolved laws to the last bit
+    law = make_step_law(StepLawParams(Fraction(1, 3), 3))
+    want = []
+    for n in range(1, 7):
+        s = convolve_weighted([law] * n, [1] * n)
+        want.append(abs_moment(s, p).value ** (1.0 / p) / math.sqrt(float(second_moment(s))))
+    assert equal_weight_ratio_sequence(law, p, 6) == want
+
+
+def test_comparison_at_even_p_does_not_convolve(monkeypatch):
+    law = make_step_law(StepLawParams(Fraction(0), 4))
+    weights = [Fraction(1, q) for q in (101, 103, 107, 109, 113, 127, 131, 137, 139)]
+    monkeypatch.setattr(schur, "convolve_weighted", None)
+    monkeypatch.setattr("khinchin_lab.exactprob.convolve_weighted", None)
+    rep = verify_gaussian_comparison(weights, [law] * 9, 4)
+    assert rep.passed and rep.params["moment_method"] == "exact-rational"
+    assert rep.witness["norm_2"] == math.sqrt(float(sum(w * w for w in weights) * 5 * 9 / 6))
+    with pytest.raises(TypeError):
+        verify_gaussian_comparison(weights, [law] * 9, 3)
 
 
 # ---------------------------------------------------------------- thresholds
