@@ -15,11 +15,15 @@ MERGE_RTOL of the largest |value| of each other merge onto one.  Weights
 are plain sequences of int, Fraction or float.
 Exact moments of a law sum num * v^k over its grid as vectorised int64 dot
 products of 21-bit limbs, which add up to the exact integer
-(`_exact_power_sum`).  Even moments of a weighted sum of independent
-symmetric summands need no sum law: odd moments vanish, so E S^k follows
-from the summands' moments by a binomial recursion (`sum_even_moment`),
-with no convolution and no support guard; `sum_abs_moment` takes that route
-for rational inputs at even p.
+(`_exact_power_sum`).  Integer moments of a rational weighted sum of
+independent symmetric summands never build the sum law (`sum_abs_moment`).
+Odd moments of the summands vanish, so E S^k at even k follows from the
+summands' moments by a binomial recursion on integers (`sum_even_moment`),
+with no convolution and no support guard.  E |S|^p at odd p splits the
+summands into two halves, convolves each half on its own under the support
+guard, and combines the two half laws by sorted prefix sums of their
+powers (`_odd_moment_of_pair`), so neither the law of S nor its guard
+applies; only each half's does.
 The module also carries the Gaussian reference quantities (norms, shifted
 moments, plus-part second moments) that the comparison certificates are
 checked against.
@@ -83,6 +87,9 @@ _LIMB_CHUNK = 2**20
 #: positive atoms from which `_limb_dot` beats a Python loop over the
 #: atoms (about 64 on a 2-core x86 machine, where each side costs 15 us)
 _LIMB_MIN_ATOMS = 64
+
+#: atoms of both laws that one block of `_odd_moment_of_pair` holds
+_SPLIT_BLOCK = 2**16
 
 #: fixed cost of one slice add in a dense step, in int64 cell adds (a slice
 #: takes about 3 us plus 1.2 ns a cell on a 2-core x86 machine)
@@ -273,16 +280,18 @@ def make_step_law(params: StepLawParams) -> SymmetricAtomLaw:
     Built straight onto the integer grid -L..L: with rho0 = a/b the masses
     are (b - a) per side atom and 2La at zero over 2Lb, reduced by their
     gcd, which gives the least common mass denominator, as the atom table
-    would; atoms of mass 0 are left out."""
+    would; atoms of mass 0 are left out.  The numerators are int64 when
+    their sum, the denominator, is below _INT64_SAFE."""
     if not isinstance(params, StepLawParams):
         raise TypeError("make_step_law takes StepLawParams")
     a, b, L = params.rho0.numerator, params.rho0.denominator, params.L
     g = math.gcd(b - a, 2 * L * a)
-    side = (b - a) // g
-    nums = _int_array([side] * L + [2 * L * a // g] + [side] * L)
+    side, den = (b - a) // g, 2 * L * b // g
+    nums = np.array([side] * L + [2 * L * a // g] + [side] * L,
+                    dtype=np.int64 if den < _INT64_SAFE else object)
     keep = nums != 0  # no zero atom at rho0 = 0, only the zero atom at rho0 = 1
     return SymmetricAtomLaw._from_grid(np.arange(-L, L + 1, dtype=np.int64)[keep], nums[keep],
-                                       2 * L * b // g, 1)
+                                       den, 1)
 
 
 def make_symmetric_law(zero_mass, positive_atoms: Mapping[Scalar, Scalar]) -> SymmetricAtomLaw:
@@ -335,8 +344,14 @@ def law_from_json(text: str) -> SymmetricAtomLaw:
 
 def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:
     """E |X|^k, k >= 1, as an exact rational for a law with rational
-    support: by symmetry, twice the sum of num * v^k over the positive
-    atoms, which are the upper half of the grid.
+    support (see `_power_sum`)."""
+    return Fraction(_power_sum(law, k), law._den * law._scale**k)
+
+
+def _power_sum(law: SymmetricAtomLaw, k: int) -> int:
+    """sum of num * |v|^k over the integer grid of a rational law, k >= 1:
+    by symmetry, twice that sum over the positive atoms, which are the
+    upper half of the grid.
 
     On an int64 grid with int64 numerators, at least _LIMB_MIN_ATOMS
     positive atoms and v_max^k < 2^63, the sum runs as vectorised int64
@@ -347,10 +362,8 @@ def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:
     values, nums = law._values[pos], law._nums[pos]
     if (len(values) >= _LIMB_MIN_ATOMS and values.dtype == nums.dtype == np.int64
             and int(values[-1]) ** k < 2**63):
-        s = _limb_dot(values**k, nums)
-    else:
-        s = sum(num * iv**k for iv, num in zip(values.tolist(), nums.tolist()))
-    return Fraction(2 * s, law._den * law._scale**k)
+        return 2 * _limb_dot(values**k, nums)
+    return 2 * sum(num * iv**k for iv, num in zip(values.tolist(), nums.tolist()))
 
 
 def _limb_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -395,17 +408,25 @@ def sum_even_moment(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar],
     support guard applies.  Exact (Fraction) when every weight and law is
     rational, a float otherwise.  See `_even_moment_prefixes`."""
     *_, last = _even_moment_prefixes(laws, weights, k)
-    return last[k // 2]
+    num, den = last[k // 2]
+    return num if isinstance(num, float) else Fraction(num, den)
 
 
 def _even_moment_prefixes(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar],
                           k: int):
     """[E S^0, E S^2, ..., E S^k] for each prefix sum S of
-    sum_i weights[i] X_i in turn, k even.
+    sum_i weights[i] X_i in turn, k even, each moment as a pair
+    (numerator, denominator): Python ints when every weight and law is
+    rational, else a float over 1.
 
     The summands are symmetric, so their odd moments vanish and
     E (S + w X)^(2i) = sum_j C(2i, 2j) E S^(2i-2j) w^(2j) E X^(2j); each
-    distinct law's E X^(2j) is taken once.
+    distinct law's E X^(2j) is taken once.  Rational inputs run this on
+    integers: on the common scale C of `_common_scale`, C w X takes the
+    integer values m V / g, so E (C w X)^(2j) times the law's mass
+    denominator is the integer m^(2j) sum num (V / g)^(2j), and
+    E (C S)^(2i) times the product D of the prefix's mass denominators is
+    an integer; E S^(2i) is that integer over D C^(2i).
     """
     if k < 0 or k % 2:
         raise ValueError(f"k must be even and nonnegative, got {k!r}")
@@ -413,20 +434,31 @@ def _even_moment_prefixes(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Sc
     if len(laws) != len(weights) or not laws:
         raise ValueError(f"need equal, nonzero numbers of laws and weights, got "
                          f"{len(laws)} and {len(weights)}")
-    exact = _exact_inputs(laws, weights)
-    one = Fraction(1) if exact else 1.0
     cache: dict[int, list] = {}
-    moments = [one] + [0 * one] * (k // 2)
-    for law, w in zip(laws, weights):
+    if not _exact_inputs(laws, weights):
+        moments = [1.0] + [0.0] * (k // 2)
+        for law, w in zip(laws, weights):
+            xm = cache.get(id(law))
+            if xm is None:
+                xm = cache[id(law)] = [1.0] + [abs_moment(law, j).value for j in range(2, k + 1, 2)]
+            w2 = float(w) ** 2
+            wx = [w2**j * x for j, x in enumerate(xm)]
+            moments = [sum(math.comb(2 * i, 2 * j) * moments[i - j] * wx[j] for j in range(i + 1))
+                       for i in range(len(moments))]
+            yield [(m, 1) for m in moments]
+        return
+    scale, mults, gcds = _common_scale(laws, weights)
+    moments, den = [1] + [0] * (k // 2), 1
+    for law, m, g in zip(laws, mults, gcds):
         xm = cache.get(id(law))
         if xm is None:
-            ms = [abs_moment(law, j) for j in range(2, k + 1, 2)]
-            xm = cache[id(law)] = [one] + [m.exact if exact else m.value for m in ms]
-        w2 = Fraction(w) ** 2 if exact else float(w) ** 2
-        wx = [w2**j * x for j, x in enumerate(xm)]
+            xm = cache[id(law)] = [law._den] + [_power_sum(law, j) // (g or 1) ** j
+                                                for j in range(2, k + 1, 2)]
+        wx = [m ** (2 * j) * x for j, x in enumerate(xm)]
         moments = [sum(math.comb(2 * i, 2 * j) * moments[i - j] * wx[j] for j in range(i + 1))
                    for i in range(len(moments))]
-        yield moments
+        den *= law._den
+        yield [(x, den * scale ** (2 * i)) for i, x in enumerate(moments)]
 
 
 def sigma_of(law) -> float:
@@ -446,6 +478,21 @@ def _exact_inputs(laws, weights) -> bool:
     weighted sums stay on an integer grid."""
     return (all(isinstance(w, Rational) and not isinstance(w, bool) for w in weights)
             and all(law.is_rational for law in laws))
+
+
+def _common_scale(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar]):
+    """(scale, mults, gcds) putting every weighted summand of rational
+    inputs on one integer grid: a law's values are V / s, V its integer grid
+    with gcd g, and w = a / b, so the products w V / s have lowest common
+    denominator d / gcd(d, a g) with d = b s; `scale` is the lcm of those,
+    and on it the summand's values are V / g times the integer
+    mult = a g scale / d."""
+    fracs = [Fraction(w) for w in weights]
+    gcds = [math.gcd(*law._values.tolist()) for law in laws]
+    dens = [w.denominator * law._scale for law, w in zip(laws, fracs)]
+    scale = math.lcm(*(d // math.gcd(d, w.numerator * g) for d, w, g in zip(dens, fracs, gcds)))
+    mults = [w.numerator * g * scale // d for d, w, g in zip(dens, fracs, gcds)]
+    return scale, mults, gcds
 
 
 def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
@@ -473,17 +520,7 @@ def convolve_weighted(laws: Sequence, weights: Sequence[Scalar],
         raise ValueError("max_atoms must be positive")
     den = math.prod(law._den for law in laws)
     if rational:
-        # Scale all weighted values onto one integer grid.  A law's values
-        # are V / s, V its integer grid with gcd g, and w = a / b, so the
-        # products w V / s have lowest common denominator d / gcd(d, a g)
-        # with d = b s, and on the common `scale` the offsets are V / g
-        # times the integer a g scale / d.
-        fracs = [Fraction(w) for w in weights]
-        gcds = [math.gcd(*law._values.tolist()) for law in laws]
-        dens = [w.denominator * law._scale for law, w in zip(laws, fracs)]
-        scale = math.lcm(*(d // math.gcd(d, w.numerator * g)
-                           for d, w, g in zip(dens, fracs, gcds)))
-        mults = [w.numerator * g * scale // d for d, w, g in zip(dens, fracs, gcds)]
+        scale, mults, gcds = _common_scale(laws, weights)
         grids = [law._values // g if g else law._values for law, g in zip(laws, gcds)]
         width = 1 + 2 * sum(int(v[-1]) * abs(m) for v, m in zip(grids, mults))
         if width < _INT64_SAFE:
@@ -627,15 +664,108 @@ def sum_abs_moment(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar],
                    p) -> MomentValue:
     """E |S|^p of S = sum_i weights[i] X_i for independent X_i ~ laws[i].
 
-    Rational inputs at even p take it from the summands (`sum_even_moment`)
-    with no convolution and no support guard; every other case is
-    `abs_moment` of the convolved law.
+    Rational inputs at integer p never build the law of S.  At even p the
+    moment comes from the summands (`sum_even_moment`), with no convolution
+    and no support guard.  At odd p the summands split at one point into
+    two halves whose atom-count products are as close as possible; each
+    half is convolved on its own, under the support guard, and
+    `_odd_moment_of_pair` combines the two half laws.  Every other case,
+    and a single summand, is `abs_moment` of the convolved law.
     """
     pf = float(p)
-    if pf >= 2 and pf % 2 == 0 and _exact_inputs(laws, weights):
-        exact = sum_even_moment(laws, weights, int(pf))
-        return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
-    return abs_moment(convolve_weighted(laws, list(weights)), p)
+    laws, weights = list(laws), list(weights)
+    if pf >= 1 and pf == int(pf) and _exact_inputs(laws, weights):
+        if pf % 2 == 0:
+            exact = sum_even_moment(laws, weights, int(pf))
+            return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
+        if len(laws) > 1:
+            k = _split_point([len(law) for law in laws])
+            exact = _odd_moment_of_pair(convolve_weighted(laws[:k], weights[:k]),
+                                        convolve_weighted(laws[k:], weights[k:]), int(pf))
+            return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
+    return abs_moment(convolve_weighted(laws, weights), p)
+
+
+def _split_point(sizes: Sequence[int]) -> int:
+    """The k in 1..n-1 whose prefix sizes[:k] and suffix sizes[k:] have
+    products as close as possible (the first such k), n >= 2."""
+    total, prefix = math.prod(sizes), [1]
+    for s in sizes:
+        prefix.append(prefix[-1] * s)
+    return min(range(1, len(sizes)), key=lambda k: max(prefix[k], total // prefix[k]))
+
+
+def _odd_moment_of_pair(x: SymmetricAtomLaw, y: SymmetricAtomLaw, p: int) -> Fraction:
+    """E |X + Y|^p for independent rational laws X and Y and odd p >= 1,
+    without the law of X + Y: the meet-in-the-middle split of Horowitz and
+    Sahni ("Computing partitions with applications to the knapsack
+    problem", JACM 21, 1974).
+
+    On one integer scale, let a > 0 run over the atoms of X with numerators
+    n_a, n_0 its zero numerator, and c > 0 over those of Y with numerators
+    n_c.  For odd p, |t|^p = t^p - 2 t^p [t < 0]; the odd moments of Y
+    vanish and Y is symmetric, so with R_i = sum_c n_c c^i,
+    T_0 = den Y, T_j = 2 R_j for even j > 0, and Q_m = sum_a n_a a^m,
+
+        sum_{a, b} n_a n_b |a + b|^p = 2 n_0 R_p
+            + 2 sum_{even j < p} C(p, j) T_j Q_(p-j) + 4 K,
+        K = sum_{a < c} n_a n_c (c - a)^p
+          = sum_m C(p, m) (-1)^m sum_c n_c c^(p-m) Q_m(c),
+
+    where Q_m(c) sums n_a a^m over a < c only (atoms with a + b = 0 add 0
+    either way).  X + Y and Y + X have one law, so X is the law with more
+    atoms, which costs fewer operations per atom here.  `np.searchsorted`
+    finds how many a lie below each c; the a and c then run in their merged
+    order, in blocks of at most _SPLIT_BLOCK atoms.  Each block takes one
+    cumulative sum of n_a a^m along its a for each m, reads Q_m(c) off it,
+    and adds the running totals of the blocks before it.  The sums run in
+    Python ints (numpy object arrays), and one Fraction is built at the end.
+    """
+    if len(x) < len(y):
+        x, y = y, x
+    scale = math.lcm(x._scale, y._scale)
+    a, na, n0 = _positive_atoms(x, scale // x._scale)
+    c, nc, _ = _positive_atoms(y, scale // y._scale)
+    if a.dtype != c.dtype:  # search in one dtype: Python ints if either needs them
+        a, c = a.astype(object), c.astype(object)
+    below = np.searchsorted(a, c)
+    at = below + np.arange(len(c))  # the c's places in the merged order
+    q, cross, r = [0] * (p + 1), [0] * (p + 1), [0] * (p + 1)
+    for k0 in range(0, len(a) + len(c), _SPLIT_BLOCK):
+        j0, j1 = np.searchsorted(at, (k0, k0 + _SPLIT_BLOCK))
+        i0, i1 = k0 - j0, min(k0 + _SPLIT_BLOCK - j1, len(a))
+        av, cv, at_c = a[i0:i1].astype(object), c[j0:j1].astype(object), below[j0:j1] - i0
+        weighted = [nc[j0:j1].astype(object)]  # n_c c^i, i = 0..p
+        for i in range(1, p + 1):
+            weighted.append(weighted[-1] * cv)
+            if i % 2 == 0 or i == p:
+                r[i] += int(weighted[i].sum())
+        terms = na[i0:i1].astype(object)  # n_a a^m
+        prefix = np.empty(i1 - i0 + 1, dtype=object)
+        for m in range(p + 1):
+            prefix[0], prefix[1:] = q[m], terms  # on top of the blocks before
+            np.cumsum(prefix, out=prefix)
+            cross[m] += int(np.dot(weighted[p - m], prefix[at_c]))
+            q[m] = int(prefix[-1])
+            if m < p:
+                terms = terms * av
+    k = sum((-1) ** m * math.comb(p, m) * cross[m] for m in range(p + 1))
+    # T_0 = den Y, and T_j = 2 R_j at even j > 0
+    even = sum(math.comb(p, j) * (2 * r[j] if j else y._den) * q[p - j] for j in range(0, p, 2))
+    return Fraction(2 * n0 * r[p] + 2 * even + 4 * k, x._den * y._den * scale**p)
+
+
+def _positive_atoms(law: SymmetricAtomLaw, mult: int):
+    """(values times mult, mass numerators) of a rational law's positive
+    atoms, and the numerator of its zero atom.  Values stay int64 while
+    they fit, as in `_int_array`."""
+    n = len(law)
+    values, nums = law._values[(n + 1) // 2:], law._nums[(n + 1) // 2:]
+    if len(values) and values.dtype == np.int64 and int(values[-1]) * mult < _INT64_SAFE:
+        values = values * mult
+    else:
+        values = np.array([v * mult for v in values.tolist()], dtype=object)
+    return values, nums, int(law._nums[n // 2]) if n % 2 else 0
 
 
 def weighted_sum_norm(weights: Sequence[Scalar], law: SymmetricAtomLaw, p) -> MomentValue:

@@ -34,6 +34,7 @@ from .exactprob import (
     make_step_law,
     make_symmetric_law,
     second_moment,
+    sum_abs_moment,
     sum_even_moment,
 )
 from .quadrature import QuadratureResult, integrate_khinchin_tail
@@ -315,19 +316,23 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
 def l1_l2_verdict(law: SymmetricAtomLaw, weights: Sequence) -> VerdictReport:
     """Check E|sum a_j Y_j| >= c1 ||sum a_j Y_j||_2 with c1 = E|Y|/sqrt(E Y^2).
 
-    Rational inputs get an exact squared comparison; otherwise the margin
-    is a relative float gap.  Runs outside the proved zero-mass range
-    [1/2, 1) are flagged exploratory.
+    Rational inputs get an exact squared comparison, with E|S| from two
+    half sums and no law of S (`sum_abs_moment`); otherwise E|S| comes from
+    the convolved law and the margin is a relative float gap.  Runs outside
+    the proved zero-mass range [1/2, 1) are flagged exploratory.
     """
     if len(weights) == 0:
         raise ValueError("need at least one weight")
     m2y = second_moment(law)
     if m2y == 0:
         raise ValueError("law is degenerate at zero")
-    n1 = first_abs_moment(convolve_weighted([law] * len(weights), list(weights)))
+    exact = law.is_rational and _all_rational(weights)
+    if exact:
+        n1 = sum_abs_moment([law] * len(weights), weights, 1).exact
+    else:
+        n1 = first_abs_moment(convolve_weighted([law] * len(weights), list(weights)))
     m2s = sum_even_moment([law] * len(weights), weights, 2)  # sum of a_j^2 E Y^2
     ey = first_abs_moment(law)
-    exact = law.is_rational and _all_rational(weights)
     if exact:
         margin_exact = n1 * n1 * m2y - ey * ey * m2s
         passed = margin_exact >= 0

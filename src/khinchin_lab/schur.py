@@ -36,10 +36,12 @@ from .exactprob import (
     SymmetricAtomLaw,
     StepLawParams,
     _even_moment_prefixes,
+    _odd_moment_of_pair,
     abs_moment,
     convolve_weighted,
     gaussian_norm,
     make_step_law,
+    make_symmetric_law,
     sum_abs_moment,
     sum_even_moment,
 )
@@ -436,24 +438,37 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
     """Ratios ||S_n||_p / ||S_n||_2 for equal weights, n = 1..n_max.
 
     Under the Gaussian comparison bound these increase toward the Gaussian
-    norm, approaching it as the CLT kicks in.
+    norm, approaching it as the CLT kicks in.  E S_n^2 = n E X^2, and at
+    even p on a rational law E S_n^p too, come from the summands' moments.
+    At odd p on a rational law the prefix laws are built only up to
+    S_ceil(n_max/2), and E |S_n|^p is the split of S_ceil(n/2) and
+    S_floor(n/2) (`_odd_moment_of_pair`).  Other cases convolve every
+    prefix law S_n = S_(n-1) + X_n.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     pf = float(p)
-    even = pf >= 2 and pf % 2 == 0 and law.is_rational
-    # E S_n^2 = n E X^2; at even p, E S_n^p comes from the same recursion
+    exact = law.is_rational and pf >= 1 and pf == int(pf)
+    even = exact and pf % 2 == 0
     prefixes = _even_moment_prefixes([law] * n_max, [1] * n_max, int(pf) if even else 2)
+    if exact and not even:
+        halves = [make_symmetric_law(1, {})]  # halves[k] is S_k, from S_0 = 0
+        for _ in range((n_max + 1) // 2):
+            halves.append(convolve_weighted([halves[-1], law], [1, 1]))
     out = []
     s = None
-    for moments in prefixes:
+    for n, moments in enumerate(prefixes, start=1):
         if even:
-            m_p = float(moments[-1])
+            num, den = moments[-1]
+            m_p = num / den
+        elif exact:
+            m_p = float(_odd_moment_of_pair(halves[(n + 1) // 2], halves[n // 2], int(pf)))
         else:
             # S_n = S_{n-1} + X_n
             s = convolve_weighted([law], [1]) if s is None else convolve_weighted([s, law], [1, 1])
             m_p = abs_moment(s, p).value
-        out.append(m_p ** (1.0 / pf) / math.sqrt(float(moments[1])))
+        num, den = moments[1]
+        out.append(m_p ** (1.0 / pf) / math.sqrt(num / den))
     return out
 
 

@@ -6,10 +6,18 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from khinchin_lab.cli import CliInputError, main, parse_weights
-from khinchin_lab.exactprob import SUPPORT_GUARD
+from khinchin_lab.exactprob import (
+    SUPPORT_GUARD,
+    StepLawParams,
+    abs_moment,
+    convolve_weighted,
+    make_step_law,
+    sum_abs_moment,
+)
 
 
 def run_cli(capsys, *argv):
@@ -135,17 +143,39 @@ def test_verify_comparison_needs_no_zero_mass(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_verify_comparison_at_even_p_past_the_support_guard(capsys):
-    # E S^4 comes from the summands, so even p needs no convolution; p = 3
-    # still convolves, and the last step would hold 8^8 entries
+def test_verify_comparison_past_the_support_guard_splits_the_sum(capsys):
+    # the whole sum's last convolution step would hold 8^8 entries; E S^4
+    # comes from the summands, and E|S|^3 from halves of 8^4 and 8^5 atoms
     weights = "1/101,1/103,1/107,1/109,1/113,1/127,1/131,1/137,1/139"
     argv = ("verify", "--claim", "comparison", "--rho0", "0", "--L", "4", "--weights", weights)
-    t0 = time.perf_counter()
-    code, out, _ = run_cli(capsys, *argv, "--p", "4")
-    assert code == 0 and time.perf_counter() - t0 < 1.0
-    assert json.loads(out)["witness"]["norm_p"] > 0
-    code, out, err = run_cli(capsys, *argv, "--p", "3")
+    norms = {}
+    for p in ("3", "4"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--p", p)
+        assert code == 0 and time.perf_counter() - t0 < 1.0, err
+        witness = json.loads(out)["witness"]
+        norms[2], norms[int(p)] = witness["norm_2"], witness["norm_p"]
+    assert 0 < norms[2] <= norms[3] <= norms[4]  # Lyapunov
+    # sixteen summands: each half's last step would hold 8^8 entries
+    weights += ",1/149,1/151,1/157,1/163,1/167,1/173,1/179"
+    code, out, err = run_cli(capsys, "verify", "--claim", "comparison", "--rho0", "0",
+                             "--L", "4", "--weights", weights, "--p", "3")
     assert code == 2 and out == "" and "exceeds the guard" in err
+
+
+def test_verify_comparison_at_p5_equals_the_convolved_moment(capsys):
+    # odd p >= 5 builds no 59 049-atom sum grid, whose v^5 passes 2^63
+    weights = [Fraction(2, 9), Fraction(2, 7), Fraction(7, 8), Fraction(2, 11), Fraction(4, 5)]
+    code, out, err = run_cli(capsys, "verify", "--claim", "comparison", "--rho0", "0",
+                             "--L", "4", "--p", "5", "--weights", ",".join(map(str, weights)))
+    assert code == 0, err
+    law = make_step_law(StepLawParams(Fraction(0), 4))
+    s = convolve_weighted([law] * 5, weights)
+    assert len(s) == 8**5 and s._values.dtype == np.int64
+    want = abs_moment(s, 5)
+    assert sum_abs_moment([law] * 5, weights, 5).exact == want.exact
+    # the report prints 12 significant digits
+    assert json.loads(out)["witness"]["norm_p"] == pytest.approx(want.value ** (1 / 5), rel=1e-11)
 
 
 def test_verify_csv_format(capsys):

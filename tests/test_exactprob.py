@@ -499,9 +499,9 @@ def test_even_moments_of_float_sums_and_bad_orders():
         sum_even_moment([law, law], [1], 2)
 
 
-def test_even_p_norms_skip_the_support_guard():
-    # nine summands of 8 atoms on coprime scales: 8^8 = 16 777 216 entries in
-    # the last convolution step, past SUPPORT_GUARD
+def test_norms_past_the_support_guard_split_the_sum():
+    # nine summands of 8 atoms on coprime scales: the whole sum's last
+    # convolution step would hold 8^8 = 16 777 216 entries, past SUPPORT_GUARD
     law = make_step_law(StepLawParams(Fraction(0), 4))
     weights = [Fraction(1, q) for q in (101, 103, 107, 109, 113, 127, 131, 137, 139)]
     m2 = sum(w * w for w in weights) * second_moment(law)
@@ -511,8 +511,84 @@ def test_even_p_norms_skip_the_support_guard():
     norm = weighted_sum_norm(weights, law, 4)
     assert norm.method is MomentMethod.EXACT_RATIONAL and norm.exact == m4
     assert sum_abs_moment([law] * 9, weights, 4).exact == m4
+    # odd p: halves of 8^4 and 8^5 atoms, each under the guard
+    norms = [weighted_sum_norm(weights, law, p) for p in (2, 3, 4)]
+    assert all(n.method is MomentMethod.EXACT_RATIONAL for n in norms)
+    assert norms[0].value <= norms[1].value <= norms[2].value  # Lyapunov
+    # sixteen summands: each half's last step would hold 8^8 entries
+    weights += [Fraction(1, q) for q in (149, 151, 157, 163, 167, 173, 179)]
     with pytest.raises(ValueError, match="exceeds the guard"):
         weighted_sum_norm(weights, law, 3)
+
+
+split_summand = st.tuples(
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(1, 3**40)]),
+    st.integers(1, 3),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
+                     Fraction(5, 6)]))
+
+
+@given(summands=st.lists(split_summand, min_size=1, max_size=5), p=st.sampled_from([1, 3, 5]))
+@example(summands=[(Fraction(1, 3**40), 2, Fraction(1, 2)), (Fraction(0), 3, Fraction(1, 2)),
+                   (Fraction(1, 2), 1, Fraction(0)), (Fraction(1), 1, Fraction(-2, 3))], p=5)
+def test_odd_moment_split_equals_the_convolved_law(summands, p):
+    # zero, negative and repeated weights, mixed step laws, and a zero mass
+    # of 1/3^40, whose mass numerators are Python ints (object dtype)
+    laws = [make_step_law(StepLawParams(rho0, L)) for rho0, L, _ in summands]
+    weights = [w for _, _, w in summands]
+    want = abs_moment(convolve_weighted(laws, weights), p).exact
+    assert sum_abs_moment(laws, weights, p).exact == want
+    for k in range(1, len(laws)):
+        x = convolve_weighted(laws[:k], weights[:k])
+        y = convolve_weighted(laws[k:], weights[k:])
+        assert exactprob._odd_moment_of_pair(x, y, p) == want
+        assert exactprob._odd_moment_of_pair(y, x, p) == want
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_odd_moment_split_across_blocks(monkeypatch, block):
+    # blocks of a few atoms cut the merged order inside runs of a and of c
+    monkeypatch.setattr(exactprob, "_SPLIT_BLOCK", block)
+    law = make_step_law(StepLawParams(Fraction(1, 3), 3))
+    weights = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)]
+    for p in (1, 3, 5):
+        want = abs_moment(convolve_weighted([law] * 4, weights), p).exact
+        for k in (1, 2, 3):
+            x = convolve_weighted([law] * k, weights[:k])
+            y = convolve_weighted([law] * (4 - k), weights[k:])
+            assert exactprob._odd_moment_of_pair(x, y, p) == want
+
+
+def test_odd_moment_split_on_object_values():
+    # values past 2^62 on the common scale are searched and summed as Python ints
+    law = make_step_law(StepLawParams(Fraction(1, 2), 2))
+    x = convolve_weighted([law] * 2, [2**61, 3])
+    y = convolve_weighted([law], [Fraction(1, 5)])
+    assert x._values.dtype == object
+    want = abs_moment(convolve_weighted([law] * 3, [2**61, 3, Fraction(1, 5)]), 3).exact
+    assert exactprob._odd_moment_of_pair(x, y, 3) == want
+
+
+def _fraction_even_moments(laws, weights, k):
+    """[E S^0, ..., E S^k] of each prefix sum by the recursion in Fractions."""
+    moments = [Fraction(1)] + [Fraction(0)] * (k // 2)
+    for law, w in zip(laws, weights):
+        xm = [Fraction(1)] + [abs_moment(law, j).exact for j in range(2, k + 1, 2)]
+        wx = [Fraction(w) ** (2 * j) * x for j, x in enumerate(xm)]
+        moments = [sum(math.comb(2 * i, 2 * j) * moments[i - j] * wx[j] for j in range(i + 1))
+                   for i in range(len(moments))]
+        yield moments
+
+
+@given(summands=st.lists(split_summand, min_size=1, max_size=3), k=st.sampled_from([2, 4, 6]))
+def test_integer_even_recursion_equals_the_fraction_route(summands, k):
+    laws = [make_step_law(StepLawParams(rho0, L)) for rho0, L, _ in summands]
+    weights = [w for _, _, w in summands]
+    got = list(exactprob._even_moment_prefixes(laws, weights, k))
+    want = list(_fraction_even_moments(laws, weights, k))
+    assert [[Fraction(num, den) for num, den in row] for row in got] == want
+    atoms = [oracles.step_atoms(rho0, L) for rho0, L, _ in summands]
+    assert Fraction(*got[-1][-1]) == oracles.enum_abs_moment(weights, atoms, k)
 
 
 # ---------------------------------------------------------------- norms

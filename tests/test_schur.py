@@ -323,16 +323,17 @@ def test_ratio_sequence_frozen():
     assert all(x < gaussian_norm(3) for x in seq)
 
 
-@pytest.mark.parametrize("p", [3, 4, 6])
+@pytest.mark.parametrize("p", [1, 3, 4, 5, 6])
 def test_ratio_sequence_matches_the_convolved_sums(p):
-    # E S_n^2 = n E X^2, and E S_n^p at even p, come from the summands; the
-    # ratios equal those of the convolved laws to the last bit
+    # E S_n^2 = n E X^2, and E S_n^p at even p, come from the summands, and
+    # at odd p from the split of S_ceil(n/2) and S_floor(n/2); the ratios
+    # equal those of the convolved laws to the last bit
     law = make_step_law(StepLawParams(Fraction(1, 3), 3))
     want = []
-    for n in range(1, 7):
+    for n in range(1, 8):
         s = convolve_weighted([law] * n, [1] * n)
         want.append(abs_moment(s, p).value ** (1.0 / p) / math.sqrt(float(second_moment(s))))
-    assert equal_weight_ratio_sequence(law, p, 6) == want
+    assert equal_weight_ratio_sequence(law, p, 7) == want
 
 
 def test_comparison_at_even_p_does_not_convolve(monkeypatch):
