@@ -13,17 +13,18 @@ support guard bounds that array before it is allocated.  A sum with any
 float weight or float value keeps exact masses, while values within
 MERGE_RTOL of the largest |value| of each other merge onto one.  Weights
 are plain sequences of int, Fraction or float.
-Exact moments of a law sum num * v^k over its grid as vectorised int64 dot
-products of 21-bit limbs, which add up to the exact integer
+Exact moments of a law sum num * v^k over its integer grid in Python ints
 (`_exact_power_sum`).  Integer moments of a rational weighted sum of
 independent symmetric summands never build the sum law (`sum_abs_moment`).
 Odd moments of the summands vanish, so E S^k at even k follows from the
 summands' moments by a binomial recursion on integers (`sum_even_moment`),
-with no convolution and no support guard.  E |S|^p at odd p splits the
-summands into two halves, convolves each half on its own under the support
-guard, and combines the two half laws by sorted prefix sums of their
-powers (`_odd_moment_of_pair`), so neither the law of S nor its guard
-applies; only each half's does.
+with no convolution and no support guard; its cost grows like n k^2, so
+above _RECURSION_MAX_P it serves only sums too large to split.  Other
+integer p split the summands into two halves, convolve each half on its
+own under the support guard, and combine the two half laws
+(`_moment_of_pair`): at odd p by sorted prefix sums of their powers, at
+even p from their moments, so neither the law of S nor its guard applies;
+only each half's does.
 The module also carries the Gaussian reference quantities (norms, shifted
 moments, plus-part second moments) that the comparison certificates are
 checked against.
@@ -79,16 +80,14 @@ _EPS = float(np.finfo(float).eps)
 #: integers below this stay in int64, with room for one doubling
 _INT64_SAFE = 2**62
 
-#: limb width of `_limb_dot`: a limb product is below 2^42, and
-#: _LIMB_CHUNK of them sum below 2^62
-_LIMB_BITS = 21
-_LIMB_CHUNK = 2**20
+#: largest even p at which `sum_abs_moment` takes the recursion of
+#: `_even_moment_prefixes` rather than `_moment_of_pair`: about where they
+#: cost the same on small halves (0.11 against 0.15 ms at p = 32 and 0.41
+#: against 0.29 ms at p = 64 on two 3-atom laws, 2-core x86 machine); on
+#: halves of 81 and 729 atoms that point is near p = 128
+_RECURSION_MAX_P = 32
 
-#: positive atoms from which `_limb_dot` beats a Python loop over the
-#: atoms (about 64 on a 2-core x86 machine, where each side costs 15 us)
-_LIMB_MIN_ATOMS = 64
-
-#: atoms of both laws that one block of `_odd_moment_of_pair` holds
+#: atoms of both laws that one block of `_moment_of_pair` holds
 _SPLIT_BLOCK = 2**16
 
 #: fixed cost of one slice add in a dense step, in int64 cell adds (a slice
@@ -351,46 +350,10 @@ def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:
 def _power_sum(law: SymmetricAtomLaw, k: int) -> int:
     """sum of num * |v|^k over the integer grid of a rational law, k >= 1:
     by symmetry, twice that sum over the positive atoms, which are the
-    upper half of the grid.
-
-    On an int64 grid with int64 numerators, at least _LIMB_MIN_ATOMS
-    positive atoms and v_max^k < 2^63, the sum runs as vectorised int64
-    dot products of limbs (`_limb_dot`); object grids, small laws and
-    powers past 2^63 take a Python loop.  Both give the same integer.
-    """
+    upper half of the grid, in a Python loop over Python ints."""
     pos = slice((len(law) + 1) // 2, None)
-    values, nums = law._values[pos], law._nums[pos]
-    if (len(values) >= _LIMB_MIN_ATOMS and values.dtype == nums.dtype == np.int64
-            and int(values[-1]) ** k < 2**63):
-        return 2 * _limb_dot(values**k, nums)
-    return 2 * sum(num * iv**k for iv, num in zip(values.tolist(), nums.tolist()))
-
-
-def _limb_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """sum_i a_i b_i as an exact Python int, for nonnegative int64 arrays.
-
-    Each side splits into _LIMB_BITS-bit limbs, as many as its largest
-    entry needs (at most three), so a limb product is below 2^42 and
-    _LIMB_CHUNK of them sum below 2^62 in one int64 dot; the limb dots are
-    shifted into place and added as Python ints (multi-limb products,
-    Knuth, TAOCP Vol. 2, 4.3.1).
-    """
-    la, lb = _limbs(a), _limbs(b)
-    total = 0
-    for lo in range(0, len(a), _LIMB_CHUNK):
-        chunk = slice(lo, lo + _LIMB_CHUNK)
-        for i, x in enumerate(la):
-            for j, y in enumerate(lb):
-                total += int(np.dot(x[chunk], y[chunk])) << (_LIMB_BITS * (i + j))
-    return total
-
-
-def _limbs(x: np.ndarray) -> list[np.ndarray]:
-    """Nonnegative int64 entries as _LIMB_BITS-bit limbs, lowest first."""
-    count = max(1, -(-int(x.max(initial=0)).bit_length() // _LIMB_BITS))
-    mask = (1 << _LIMB_BITS) - 1
-    return [(x >> (_LIMB_BITS * i)) & mask for i in range(count - 1)] + \
-        [x >> (_LIMB_BITS * (count - 1))]
+    return 2 * sum(num * iv**k for iv, num in zip(law._values[pos].tolist(),
+                                                   law._nums[pos].tolist()))
 
 
 def second_moment(law: SymmetricAtomLaw) -> Scalar:
@@ -426,7 +389,8 @@ def _even_moment_prefixes(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Sc
     integer values m V / g, so E (C w X)^(2j) times the law's mass
     denominator is the integer m^(2j) sum num (V / g)^(2j), and
     E (C S)^(2i) times the product D of the prefix's mass denominators is
-    an integer; E S^(2i) is that integer over D C^(2i).
+    an integer; E S^(2i) is that integer over D C^(2i).  Other inputs run
+    the same recursion on floats, with C = D = 1 and w in place of m.
     """
     if k < 0 or k % 2:
         raise ValueError(f"k must be even and nonnegative, got {k!r}")
@@ -434,30 +398,23 @@ def _even_moment_prefixes(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Sc
     if len(laws) != len(weights) or not laws:
         raise ValueError(f"need equal, nonzero numbers of laws and weights, got "
                          f"{len(laws)} and {len(weights)}")
+    exact = _exact_inputs(laws, weights)
+    if exact:
+        scale, mults, gcds = _common_scale(laws, weights)
+    else:
+        scale, mults, gcds = 1, [float(w) for w in weights], [None] * len(laws)
     cache: dict[int, list] = {}
-    if not _exact_inputs(laws, weights):
-        moments = [1.0] + [0.0] * (k // 2)
-        for law, w in zip(laws, weights):
-            xm = cache.get(id(law))
-            if xm is None:
-                xm = cache[id(law)] = [1.0] + [abs_moment(law, j).value for j in range(2, k + 1, 2)]
-            w2 = float(w) ** 2
-            wx = [w2**j * x for j, x in enumerate(xm)]
-            moments = [sum(math.comb(2 * i, 2 * j) * moments[i - j] * wx[j] for j in range(i + 1))
-                       for i in range(len(moments))]
-            yield [(m, 1) for m in moments]
-        return
-    scale, mults, gcds = _common_scale(laws, weights)
     moments, den = [1] + [0] * (k // 2), 1
     for law, m, g in zip(laws, mults, gcds):
         xm = cache.get(id(law))
         if xm is None:
-            xm = cache[id(law)] = [law._den] + [_power_sum(law, j) // (g or 1) ** j
-                                                for j in range(2, k + 1, 2)]
-        wx = [m ** (2 * j) * x for j, x in enumerate(xm)]
+            xm = cache[id(law)] = (
+                [law._den] + [_power_sum(law, j) // (g or 1) ** j for j in range(2, k + 1, 2)]
+                if exact else [1.0] + [abs_moment(law, j).value for j in range(2, k + 1, 2)])
+        wx = [(m**2) ** j * x for j, x in enumerate(xm)]
         moments = [sum(math.comb(2 * i, 2 * j) * moments[i - j] * wx[j] for j in range(i + 1))
                    for i in range(len(moments))]
-        den *= law._den
+        den *= law._den if exact else 1
         yield [(x, den * scale ** (2 * i)) for i, x in enumerate(moments)]
 
 
@@ -641,9 +598,7 @@ def abs_moment(law: SymmetricAtomLaw, p, mode: str = "auto") -> MomentValue:
     other case is an exactly-rounded float sum with the rounding bound
     n_atoms * eps * sum(mass * |value|^p).
     """
-    pf = float(p)
-    if not (pf >= 1.0):
-        raise ValueError(f"p must satisfy p >= 1, got {p!r}")
+    pf = _moment_order(p)
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     can_exact = law.is_rational and pf == int(pf)
@@ -660,48 +615,67 @@ def abs_moment(law: SymmetricAtomLaw, p, mode: str = "auto") -> MomentValue:
     return MomentValue(total, MomentMethod.FLOAT, bound)
 
 
+def _moment_order(p) -> float:
+    """p as a float, for a finite p >= 1."""
+    pf = float(p)
+    if not (1.0 <= pf < math.inf):
+        raise ValueError(f"p must be finite and satisfy p >= 1, got {p!r}")
+    return pf
+
+
 def sum_abs_moment(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar],
                    p) -> MomentValue:
     """E |S|^p of S = sum_i weights[i] X_i for independent X_i ~ laws[i].
 
-    Rational inputs at integer p never build the law of S.  At even p the
-    moment comes from the summands (`sum_even_moment`), with no convolution
-    and no support guard.  At odd p the summands split at one point into
-    two halves whose atom-count products are as close as possible; each
-    half is convolved on its own, under the support guard, and
-    `_odd_moment_of_pair` combines the two half laws.  Every other case,
-    and a single summand, is `abs_moment` of the convolved law.
+    Rational inputs at integer p never build the law of S.  At even p up
+    to _RECURSION_MAX_P the moment comes from the summands
+    (`sum_even_moment`), with no convolution and no support guard.  Above
+    it, and at every odd p, the summands split at one point into two halves
+    whose atom-count products are as close as possible; each half is
+    convolved on its own, under the support guard, and `_moment_of_pair`
+    combines the two half laws.  An even p whose halves have an atom-count
+    product past SUPPORT_GUARD keeps the recursion instead.  Every other
+    case, including a single summand past the recursion or at odd p, is
+    `abs_moment` of the convolved law.
     """
-    pf = float(p)
+    pf = _moment_order(p)
     laws, weights = list(laws), list(weights)
-    if pf >= 1 and pf == int(pf) and _exact_inputs(laws, weights):
-        if pf % 2 == 0:
+    if pf == int(pf) and _exact_inputs(laws, weights):
+        k, halves = _split_point([len(law) for law in laws])
+        if pf % 2 == 0 and (pf <= _RECURSION_MAX_P or halves > SUPPORT_GUARD):
             exact = sum_even_moment(laws, weights, int(pf))
             return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
-        if len(laws) > 1:
-            k = _split_point([len(law) for law in laws])
-            exact = _odd_moment_of_pair(convolve_weighted(laws[:k], weights[:k]),
-                                        convolve_weighted(laws[k:], weights[k:]), int(pf))
+        if k:
+            exact = _moment_of_pair(convolve_weighted(laws[:k], weights[:k]),
+                                    convolve_weighted(laws[k:], weights[k:]), int(pf))
             return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
     return abs_moment(convolve_weighted(laws, weights), p)
 
 
-def _split_point(sizes: Sequence[int]) -> int:
+def _split_point(sizes: Sequence[int]) -> tuple[int, int]:
     """The k in 1..n-1 whose prefix sizes[:k] and suffix sizes[k:] have
-    products as close as possible (the first such k), n >= 2."""
+    products as close as possible (the first such k), and the larger of
+    those two products; (0, 0) for n < 2."""
     total, prefix = math.prod(sizes), [1]
     for s in sizes:
         prefix.append(prefix[-1] * s)
-    return min(range(1, len(sizes)), key=lambda k: max(prefix[k], total // prefix[k]))
+    return min(((k, max(prefix[k], total // prefix[k])) for k in range(1, len(sizes))),
+               key=lambda split: split[1], default=(0, 0))
 
 
-def _odd_moment_of_pair(x: SymmetricAtomLaw, y: SymmetricAtomLaw, p: int) -> Fraction:
-    """E |X + Y|^p for independent rational laws X and Y and odd p >= 1,
-    without the law of X + Y: the meet-in-the-middle split of Horowitz and
-    Sahni ("Computing partitions with applications to the knapsack
-    problem", JACM 21, 1974).
+def _moment_of_pair(x: SymmetricAtomLaw, y: SymmetricAtomLaw, p: int) -> Fraction:
+    """E |X + Y|^p for independent rational laws X and Y and integer p >= 1,
+    without the law of X + Y.
 
-    On one integer scale, let a > 0 run over the atoms of X with numerators
+    On one integer scale, let T_j and T'_j be the sums num v^j over all
+    atoms of Y and of X (T_0 and T'_0 are the mass denominators).  At even
+    p the odd moments vanish, so sum_{a, b} n_a n_b (a + b)^p is
+    sum_{even j <= p} C(p, j) T_j T'_(p-j): (p/2 + 1) power sums of each
+    law and no pass over their pairs.
+
+    At odd p this is the meet-in-the-middle split of Horowitz and Sahni
+    ("Computing partitions with applications to the knapsack problem",
+    JACM 21, 1974).  Let a > 0 run over the atoms of X with numerators
     n_a, n_0 its zero numerator, and c > 0 over those of Y with numerators
     n_c.  For odd p, |t|^p = t^p - 2 t^p [t < 0]; the odd moments of Y
     vanish and Y is symmetric, so with R_i = sum_c n_c c^i,
@@ -721,6 +695,12 @@ def _odd_moment_of_pair(x: SymmetricAtomLaw, y: SymmetricAtomLaw, p: int) -> Fra
     and adds the running totals of the blocks before it.  The sums run in
     Python ints (numpy object arrays), and one Fraction is built at the end.
     """
+    if p % 2 == 0:
+        scale = math.lcm(x._scale, y._scale)
+        tx, ty = ([law._den] + [_power_sum(law, j) * (scale // law._scale) ** j
+                                for j in range(2, p + 1, 2)] for law in (x, y))
+        total = sum(math.comb(p, 2 * i) * ty[i] * tx[p // 2 - i] for i in range(p // 2 + 1))
+        return Fraction(total, x._den * y._den * scale**p)
     if len(x) < len(y):
         x, y = y, x
     scale = math.lcm(x._scale, y._scale)

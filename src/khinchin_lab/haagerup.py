@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactprob import (
+    MomentMethod,
     StepLawParams,
     SymmetricAtomLaw,
     convolve_weighted,
@@ -316,21 +317,20 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
 def l1_l2_verdict(law: SymmetricAtomLaw, weights: Sequence) -> VerdictReport:
     """Check E|sum a_j Y_j| >= c1 ||sum a_j Y_j||_2 with c1 = E|Y|/sqrt(E Y^2).
 
-    Rational inputs get an exact squared comparison, with E|S| from two
-    half sums and no law of S (`sum_abs_moment`); otherwise E|S| comes from
-    the convolved law and the margin is a relative float gap.  Runs outside
-    the proved zero-mass range [1/2, 1) are flagged exploratory.
+    E|S| comes from `sum_abs_moment`: exact for rational inputs, from two
+    half sums and no law of S, which gives an exact squared comparison;
+    otherwise a float from the convolved law, and the margin is a relative
+    float gap.  Runs outside the proved zero-mass range [1/2, 1) are
+    flagged exploratory.
     """
     if len(weights) == 0:
         raise ValueError("need at least one weight")
     m2y = second_moment(law)
     if m2y == 0:
         raise ValueError("law is degenerate at zero")
-    exact = law.is_rational and _all_rational(weights)
-    if exact:
-        n1 = sum_abs_moment([law] * len(weights), weights, 1).exact
-    else:
-        n1 = first_abs_moment(convolve_weighted([law] * len(weights), list(weights)))
+    m1 = sum_abs_moment([law] * len(weights), weights, 1)
+    exact = m1.method is MomentMethod.EXACT_RATIONAL
+    n1 = m1.exact if exact else m1.value
     m2s = sum_even_moment([law] * len(weights), weights, 2)  # sum of a_j^2 E Y^2
     ey = first_abs_moment(law)
     if exact:
@@ -457,7 +457,7 @@ _TWO_WEIGHT_NOTE = (
 def two_weight_threshold(L: int) -> VerdictReport:
     """Zero-mass threshold forced by two equal weights on the L1 bound.
 
-    Enumerates E|Y_1 + Y_2| exactly and bisects (rational midpoints) the
+    Takes E|Y_1 + Y_2| exactly and bisects (rational midpoints) the
     squared comparison (E|S|)^2 >= 2 (E|Y|)^2, then matches the closed
     form 1 - 3L(2 - sqrt(2)) / (2L + 1); at L = 1 this is sqrt(2) - 1.
     """
@@ -466,8 +466,7 @@ def two_weight_threshold(L: int) -> VerdictReport:
 
     def gap(rho: Fraction) -> Fraction:
         law = make_step_law(StepLawParams(rho, L))
-        s = convolve_weighted([law, law], [1, 1])
-        n1 = first_abs_moment(s)
+        n1 = sum_abs_moment([law, law], [1, 1], 1).exact
         ey = first_abs_moment(law)
         return n1 * n1 - 2 * ey * ey
 

@@ -35,8 +35,10 @@ from .exactprob import (
     SUPPORT_GUARD,
     SymmetricAtomLaw,
     StepLawParams,
+    _RECURSION_MAX_P,
     _even_moment_prefixes,
-    _odd_moment_of_pair,
+    _moment_of_pair,
+    _moment_order,
     abs_moment,
     convolve_weighted,
     gaussian_norm,
@@ -439,34 +441,30 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
 
     Under the Gaussian comparison bound these increase toward the Gaussian
     norm, approaching it as the CLT kicks in.  E S_n^2 = n E X^2, and at
-    even p on a rational law E S_n^p too, come from the summands' moments.
-    At odd p on a rational law the prefix laws are built only up to
-    S_ceil(n_max/2), and E |S_n|^p is the split of S_ceil(n/2) and
-    S_floor(n/2) (`_odd_moment_of_pair`).  Other cases convolve every
-    prefix law S_n = S_(n-1) + X_n.
+    even p up to _RECURSION_MAX_P on a rational law E S_n^p too, come from
+    the summands' moments.  At other integer p on a rational law the prefix
+    laws S_k = S_(k-1) + X are built only up to S_ceil(n_max/2), and
+    E |S_n|^p is the pair kernel on S_ceil(n/2) and S_floor(n/2)
+    (`_moment_of_pair`).  Other cases build every prefix law up to S_n_max.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    pf = float(p)
-    exact = law.is_rational and pf >= 1 and pf == int(pf)
-    even = exact and pf % 2 == 0
-    prefixes = _even_moment_prefixes([law] * n_max, [1] * n_max, int(pf) if even else 2)
-    if exact and not even:
-        halves = [make_symmetric_law(1, {})]  # halves[k] is S_k, from S_0 = 0
-        for _ in range((n_max + 1) // 2):
-            halves.append(convolve_weighted([halves[-1], law], [1, 1]))
+    pf = _moment_order(p)
+    exact = law.is_rational and pf == int(pf)
+    recursion = exact and pf % 2 == 0 and pf <= _RECURSION_MAX_P
+    prefixes = _even_moment_prefixes([law] * n_max, [1] * n_max, int(pf) if recursion else 2)
+    sums = [make_symmetric_law(1, {})]  # sums[k] is S_k, from S_0 = 0
+    for _ in range(0 if recursion else (n_max + 1) // 2 if exact else n_max):
+        sums.append(convolve_weighted([sums[-1], law], [1, 1]))
     out = []
-    s = None
     for n, moments in enumerate(prefixes, start=1):
-        if even:
+        if recursion:
             num, den = moments[-1]
             m_p = num / den
         elif exact:
-            m_p = float(_odd_moment_of_pair(halves[(n + 1) // 2], halves[n // 2], int(pf)))
+            m_p = float(_moment_of_pair(sums[(n + 1) // 2], sums[n // 2], int(pf)))
         else:
-            # S_n = S_{n-1} + X_n
-            s = convolve_weighted([law], [1]) if s is None else convolve_weighted([s, law], [1, 1])
-            m_p = abs_moment(s, p).value
+            m_p = abs_moment(sums[n], p).value
         num, den = moments[1]
         out.append(m_p ** (1.0 / pf) / math.sqrt(num / den))
     return out

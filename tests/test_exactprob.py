@@ -32,6 +32,7 @@ from khinchin_lab.exactprob import (
     sum_even_moment,
     weighted_sum_norm,
 )
+from khinchin_lab.schur import equal_weight_ratio_sequence
 
 rationals = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(4),
                          max_denominator=6)
@@ -377,94 +378,33 @@ def _loop_power_sum(law, k):
     return sum(m * abs(v) ** k for v, m in law.atoms)
 
 
-def _count_limb_dots(mp):
-    calls = []
-    real = exactprob._limb_dot
-
-    def spy(a, b):
-        calls.append(len(a))
-        return real(a, b)
-
-    mp.setattr(exactprob, "_limb_dot", spy)
-    return calls
-
-
-@given(pairs=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
-                      min_size=1, max_size=40),
-       chunk=st.sampled_from([1, 3, 7, 2**20]))
-def test_limb_dot_is_the_exact_integer_dot(pairs, chunk):
-    a = np.array([x for x, _ in pairs], dtype=np.int64)
-    b = np.array([y for _, y in pairs], dtype=np.int64)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactprob, "_LIMB_CHUNK", chunk)
-        assert exactprob._limb_dot(a, b) == sum(x * y for x, y in pairs)
-
-
-@given(values=st.sets(st.integers(1, 2**21 - 1), min_size=1, max_size=150),
-       num_bits=st.integers(1, 54), k=st.integers(1, 4), zero=st.booleans(),
-       chunk=st.sampled_from([2, 5, 2**20]), seed=st.integers(0, 2**32 - 1))
-def test_limbs_equal_the_loop_on_random_int64_grids(values, num_bits, k, zero, chunk, seed):
-    # numerators below 2^54 keep the total mass, 2^54 * 301, inside int64
-    rng = np.random.default_rng(seed)
-    pos = sorted(values)
-    nums = [int(x) for x in rng.integers(1, 2**num_bits, len(pos), endpoint=True)]
-    law = _grid_law(pos, nums, int(rng.integers(1, 2**num_bits)) if zero else 0)
-    assert law._values.dtype == law._nums.dtype == np.int64
-    want = _loop_power_sum(law, k)
-    assert exactprob._exact_power_sum(law, k) == want
-    with pytest.MonkeyPatch.context() as mp:
-        # every law takes the limbs where v_max^k < 2^63, over small chunks
-        mp.setattr(exactprob, "_LIMB_MIN_ATOMS", 1)
-        mp.setattr(exactprob, "_LIMB_CHUNK", chunk)
-        calls = _count_limb_dots(mp)
-        assert exactprob._exact_power_sum(law, k) == want
-        assert len(calls) == (pos[-1] ** k < 2**63)
-
-
-@pytest.mark.parametrize("top, k_limbs", [(2**21 - 1, 3), (2**21, 2), (3_037_000_499, 2),
-                                          (3_037_000_500, 1), (2**62 - 1, 1)])
-def test_limbs_up_to_the_last_power_below_2_63(top, k_limbs):
-    # top^k_limbs < 2^63 <= top^(k_limbs + 1): the first power past it
-    # takes the loop, also when it would fit in 64 unsigned bits, and both
-    # give the atom table's moment
-    assert top**k_limbs < 2**63 <= top ** (k_limbs + 1)
-    pos = list(range(1, exactprob._LIMB_MIN_ATOMS)) + [top]
-    law = _grid_law(pos, [2**40 + 3 * j for j in range(len(pos))], 7)
-    for k in (k_limbs, k_limbs + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactprob, "_LIMB_CHUNK", 5)
-            calls = _count_limb_dots(mp)
-            assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
-            assert calls == ([len(pos)] if k == k_limbs else [])
-
-
-def test_object_grids_and_one_atom_laws_take_the_loop(monkeypatch):
-    calls = _count_limb_dots(monkeypatch)
-    monkeypatch.setattr(exactprob, "_LIMB_MIN_ATOMS", 1)
+def test_exact_power_sum_equals_the_atom_table():
+    # random int64 grids, values whose k-th power straddles 2^63, object
+    # values and numerators, a sum law, one-atom and point laws
+    rng = np.random.default_rng(5)
+    laws = []
+    for _ in range(40):
+        pos = sorted({int(v) for v in rng.integers(1, 2**21, int(rng.integers(1, 150)))})
+        bits = int(rng.integers(1, 55))  # total mass below 2^54 * 301, inside int64
+        nums = [int(x) for x in rng.integers(1, 2**bits, len(pos), endpoint=True)]
+        laws.append(_grid_law(pos, nums, int(rng.integers(1, 2**bits)) if rng.random() < 0.5 else 0))
+    assert all(law._values.dtype == law._nums.dtype == np.int64 for law in laws)
+    for top in (2**21 - 1, 2**21, 3_037_000_499, 3_037_000_500, 2**62 - 1):
+        laws.append(_grid_law(list(range(1, 64)) + [top], [2**40 + 3 * j for j in range(64)], 7))
     wide = _grid_law([j * 2**60 for j in range(1, 100)], list(range(1, 100)))
     heavy = _grid_law(list(range(1, 100)), [2**62 + j for j in range(1, 100)])
     assert wide._values.dtype == object and heavy._nums.dtype == object
-    for law in (wide, heavy):
-        for k in (1, 2, 3):
-            assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
-    assert calls == []
-    point = make_step_law(StepLawParams(Fraction(1), 2))
-    assert len(point) == 1 and all(abs_moment(point, k).exact == 0 for k in (1, 2, 3))
-    single = _grid_law([5], [1])
-    assert exactprob._exact_power_sum(single, 3) == 125 and calls == [1]
-
-
-def test_limbs_on_a_large_sum_law():
     law = make_step_law(StepLawParams(Fraction(1, 2), 4))
-    s = convolve_weighted([law] * 5, [Fraction(2, 9), Fraction(2, 7), Fraction(7, 8),
-                                      Fraction(2, 11), Fraction(4, 5)])
-    assert len(s) == 59049 and s._values.dtype == np.int64
-    half = slice(len(s) // 2, None)
-    values, nums = s._values[half].tolist(), s._nums[half].tolist()
-    for k in (1, 2, 3, 4):
-        # the same sum as a Python loop over the atoms in integers, 0 included
-        want = Fraction(2 * sum(n * v**k for v, n in zip(values, nums)), s._den * s._scale**k)
-        assert exactprob._exact_power_sum(s, k) == want
+    big = convolve_weighted([law] * 3, [Fraction(2, 9), Fraction(2, 7), Fraction(7, 8)])
+    assert len(big) == 729
+    single, point = _grid_law([5], [1]), make_step_law(StepLawParams(Fraction(1), 2))
+    assert len(point) == 1
+    laws += [wide, heavy, big, single, point]
+    for law in laws:
+        for k in (1, 2, 3, 4):
+            assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
+    assert exactprob._exact_power_sum(single, 3) == 125
+    assert all(abs_moment(point, k).exact == 0 for k in (1, 2, 3))
 
 
 mixed_laws = st.lists(st.tuples(rho0s, st.integers(1, 2), signed_rationals),
@@ -541,8 +481,8 @@ def test_odd_moment_split_equals_the_convolved_law(summands, p):
     for k in range(1, len(laws)):
         x = convolve_weighted(laws[:k], weights[:k])
         y = convolve_weighted(laws[k:], weights[k:])
-        assert exactprob._odd_moment_of_pair(x, y, p) == want
-        assert exactprob._odd_moment_of_pair(y, x, p) == want
+        assert exactprob._moment_of_pair(x, y, p) == want
+        assert exactprob._moment_of_pair(y, x, p) == want
 
 
 @pytest.mark.parametrize("block", [1, 2, 5])
@@ -556,7 +496,7 @@ def test_odd_moment_split_across_blocks(monkeypatch, block):
         for k in (1, 2, 3):
             x = convolve_weighted([law] * k, weights[:k])
             y = convolve_weighted([law] * (4 - k), weights[k:])
-            assert exactprob._odd_moment_of_pair(x, y, p) == want
+            assert exactprob._moment_of_pair(x, y, p) == want
 
 
 def test_odd_moment_split_on_object_values():
@@ -566,7 +506,7 @@ def test_odd_moment_split_on_object_values():
     y = convolve_weighted([law], [Fraction(1, 5)])
     assert x._values.dtype == object
     want = abs_moment(convolve_weighted([law] * 3, [2**61, 3, Fraction(1, 5)]), 3).exact
-    assert exactprob._odd_moment_of_pair(x, y, 3) == want
+    assert exactprob._moment_of_pair(x, y, 3) == want
 
 
 def _fraction_even_moments(laws, weights, k):
@@ -589,6 +529,45 @@ def test_integer_even_recursion_equals_the_fraction_route(summands, k):
     assert [[Fraction(num, den) for num, den in row] for row in got] == want
     atoms = [oracles.step_atoms(rho0, L) for rho0, L, _ in summands]
     assert Fraction(*got[-1][-1]) == oracles.enum_abs_moment(weights, atoms, k)
+
+
+@given(summands=st.lists(split_summand, min_size=2, max_size=4),
+       p=st.sampled_from([2, 4, 6, 30, 32, 34, 40, 64]))
+def test_even_moment_of_pair_equals_the_recursion(summands, p):
+    # p on both sides of _RECURSION_MAX_P, so sum_abs_moment takes each route
+    laws = [make_step_law(StepLawParams(rho0, L)) for rho0, L, _ in summands]
+    weights = [w for _, _, w in summands]
+    want = sum_even_moment(laws, weights, p)
+    assert sum_abs_moment(laws, weights, p).exact == want
+    for k in range(1, len(laws)):
+        x = convolve_weighted(laws[:k], weights[:k])
+        y = convolve_weighted(laws[k:], weights[k:])
+        assert exactprob._moment_of_pair(x, y, p) == want
+        assert exactprob._moment_of_pair(y, x, p) == want
+
+
+def test_high_even_moments_skip_the_recursion_unless_the_halves_are_too_large(monkeypatch):
+    calls = []
+    real = exactprob._even_moment_prefixes
+
+    def spy(laws, weights, k):
+        calls.append(k)
+        return real(laws, weights, k)
+
+    monkeypatch.setattr(exactprob, "_even_moment_prefixes", spy)
+    law = make_step_law(StepLawParams(Fraction(0), 1))
+    weights = [Fraction(1, 100)] * 3
+    m = sum_abs_moment([law] * 3, weights, 2000)
+    assert calls == [] and m.exact == abs_moment(convolve_weighted([law] * 3, weights), 2000).exact
+    assert sum_abs_moment([law], [Fraction(1, 3)], 2000).exact == abs_moment(law, 2000).exact / 3**2000
+    assert calls == []
+    # sixteen summands of 8 atoms: each half has 8^8 atom tuples, past
+    # SUPPORT_GUARD, so p = 34 keeps the recursion, which needs no guard
+    wide = make_step_law(StepLawParams(Fraction(0), 4))
+    weights = [Fraction(1, q) for q in (101, 103, 107, 109, 113, 127, 131, 137,
+                                        139, 149, 151, 157, 163, 167, 173, 179)]
+    assert sum_abs_moment([wide] * 16, weights, 34).exact == sum_even_moment([wide] * 16, weights, 34)
+    assert calls == [34, 34]
 
 
 # ---------------------------------------------------------------- norms
@@ -632,6 +611,16 @@ def test_p_below_one_rejected():
         abs_moment(law, 0.5)
     with pytest.raises(ValueError):
         abs_moment(convolve_weighted([law], [0.5]), 3, mode="exact")
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_non_finite_p_rejected(p):
+    law = make_step_law(StepLawParams(Fraction(0), 1))
+    for moment in (lambda: abs_moment(law, p), lambda: sum_abs_moment([law] * 2, [1, 1], p),
+                   lambda: weighted_sum_norm([Fraction(1, 2)], law, p),
+                   lambda: equal_weight_ratio_sequence(law, p, 2)):
+        with pytest.raises(ValueError, match="finite"):
+            moment()
 
 
 # ---------------------------------------------------------------- gaussian
