@@ -378,33 +378,72 @@ def _loop_power_sum(law, k):
     return sum(m * abs(v) ** k for v, m in law.atoms)
 
 
-def test_exact_power_sum_equals_the_atom_table():
-    # random int64 grids, values whose k-th power straddles 2^63, object
-    # values and numerators, a sum law, one-atom and point laws
-    rng = np.random.default_rng(5)
-    laws = []
-    for _ in range(40):
-        pos = sorted({int(v) for v in rng.integers(1, 2**21, int(rng.integers(1, 150)))})
-        bits = int(rng.integers(1, 55))  # total mass below 2^54 * 301, inside int64
-        nums = [int(x) for x in rng.integers(1, 2**bits, len(pos), endpoint=True)]
-        laws.append(_grid_law(pos, nums, int(rng.integers(1, 2**bits)) if rng.random() < 0.5 else 0))
-    assert all(law._values.dtype == law._nums.dtype == np.int64 for law in laws)
-    for top in (2**21 - 1, 2**21, 3_037_000_499, 3_037_000_500, 2**62 - 1):
-        laws.append(_grid_law(list(range(1, 64)) + [top], [2**40 + 3 * j for j in range(64)], 7))
+# The power sum is one loop over Python ints for every grid; the tests below
+# check it against the atom table where a fixed-width int64 dot product or
+# power would overflow.
+
+@given(pairs=st.dictionaries(st.integers(1, exactprob._INT64_SAFE - 1), st.integers(1, 2**56),
+                             min_size=1, max_size=40))
+def test_limb_dot_is_the_exact_integer_dot(pairs):
+    # at k = 1 the power sum is the dot product of two int64 columns whose
+    # products pass 2^63; numerators up to 2^56 keep the total mass, at
+    # most 80 * 2^56, inside int64
+    pos = sorted(pairs)
+    law = _grid_law(pos, [pairs[v] for v in pos])
+    assert law._values.dtype == law._nums.dtype == np.int64
+    assert exactprob._power_sum(law, 1) == 2 * sum(v * n for v, n in pairs.items())
+
+
+@given(values=st.sets(st.integers(1, 2**21 - 1), min_size=1, max_size=150),
+       num_bits=st.integers(1, 54), k=st.integers(1, 4), zero=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_limbs_equal_the_loop_on_random_int64_grids(values, num_bits, k, zero, seed):
+    # numerators below 2^54 keep the total mass, 2^54 * 301, inside int64
+    rng = np.random.default_rng(seed)
+    pos = sorted(values)
+    nums = [int(x) for x in rng.integers(1, 2**num_bits, len(pos), endpoint=True)]
+    law = _grid_law(pos, nums, int(rng.integers(1, 2**num_bits)) if zero else 0)
+    assert law._values.dtype == law._nums.dtype == np.int64
+    assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
+
+
+@pytest.mark.parametrize("top, k_below", [(2**21 - 1, 3), (2**21, 2), (3_037_000_499, 2),
+                                          (3_037_000_500, 1), (2**62 - 1, 1)])
+def test_limbs_up_to_the_last_power_below_2_63(top, k_below):
+    # top^k_below < 2^63 <= top^(k_below + 1): the power sum gives the atom
+    # table's moment on both sides of 2^63, also past 64 unsigned bits
+    assert top**k_below < 2**63 <= top ** (k_below + 1)
+    pos = list(range(1, 64)) + [top]
+    law = _grid_law(pos, [2**40 + 3 * j for j in range(len(pos))], 7)
+    assert law._values.dtype == np.int64
+    for k in (k_below, k_below + 1, k_below + 2):
+        assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
+
+
+def test_object_grids_and_one_atom_laws_take_the_loop():
     wide = _grid_law([j * 2**60 for j in range(1, 100)], list(range(1, 100)))
     heavy = _grid_law(list(range(1, 100)), [2**62 + j for j in range(1, 100)])
     assert wide._values.dtype == object and heavy._nums.dtype == object
-    law = make_step_law(StepLawParams(Fraction(1, 2), 4))
-    big = convolve_weighted([law] * 3, [Fraction(2, 9), Fraction(2, 7), Fraction(7, 8)])
-    assert len(big) == 729
-    single, point = _grid_law([5], [1]), make_step_law(StepLawParams(Fraction(1), 2))
-    assert len(point) == 1
-    laws += [wide, heavy, big, single, point]
-    for law in laws:
-        for k in (1, 2, 3, 4):
+    for law in (wide, heavy):
+        for k in (1, 2, 3):
             assert exactprob._exact_power_sum(law, k) == _loop_power_sum(law, k)
+    point = make_step_law(StepLawParams(Fraction(1), 2))
+    assert len(point) == 1 and all(abs_moment(point, k).exact == 0 for k in (1, 2, 3))
+    single = _grid_law([5], [1])
     assert exactprob._exact_power_sum(single, 3) == 125
-    assert all(abs_moment(point, k).exact == 0 for k in (1, 2, 3))
+
+
+def test_limbs_on_a_large_sum_law():
+    law = make_step_law(StepLawParams(Fraction(1, 2), 4))
+    s = convolve_weighted([law] * 5, [Fraction(2, 9), Fraction(2, 7), Fraction(7, 8),
+                                      Fraction(2, 11), Fraction(4, 5)])
+    assert len(s) == 59049 and s._values.dtype == np.int64
+    half = slice(len(s) // 2, None)
+    values, nums = s._values[half].tolist(), s._nums[half].tolist()
+    for k in (1, 2, 3, 4):
+        # the same sum as a Python loop over the atoms in integers, 0 included
+        want = Fraction(2 * sum(n * v**k for v, n in zip(values, nums)), s._den * s._scale**k)
+        assert exactprob._exact_power_sum(s, k) == want
 
 
 mixed_laws = st.lists(st.tuples(rho0s, st.integers(1, 2), signed_rationals),
