@@ -13,6 +13,7 @@ import json
 import sys
 
 from khinchin_lab import cli
+from khinchin_lab.reports import to_json
 
 
 def battery(trials: int, seed: int) -> list[list[str]]:
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
         if out.getvalue():
             obj = json.loads(out.getvalue())
             reports += obj if isinstance(obj, list) else [obj]
-    payload = json.dumps(reports, indent=2, allow_nan=False) + "\n"
+    payload = to_json(reports)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

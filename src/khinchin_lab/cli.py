@@ -2,17 +2,21 @@
 the slope and tangent tables, sweep the interpolation function, and emit
 machine-readable reports.
 
-Exit status: 0 when every selected verdict passes, 1 on partial failures
-(failing claims listed on standard error), 2 on malformed input or an
-unwritable output path.  Identical config and seed give byte-identical
-output.
+Each subcommand has one option table (`_OPTIONS`: option to dest, converter
+or choices, default and help), read by one loop over argv with argparse's
+rules for prefixes, "--opt=value", repeated options and values that start
+with "-".  `-h`/`--help` prints every subcommand's options.
+
+Exit status: 0 when every selected verdict passes or help was asked for, 1
+on partial failures (failing claims listed on standard error), 2 on
+malformed input or an unwritable output path, with one `error: <message>`
+line on standard error; `main` returns the status and never raises
+SystemExit.  Identical config and seed give byte-identical output.
 """
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +31,7 @@ from .exactprob import (
     second_moment,
     sigma_of,
 )
-from .reports import VerdictReport, format_reports, sig12, to_jsonable
+from .reports import VerdictReport, format_reports, sig12, to_json, to_jsonable
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_config", "main", "parse_weights", "run"]
 
@@ -159,8 +163,7 @@ def _cmd_constants(config: RunConfig) -> int:
                 lines.append(f"{k},{_csv_scalar(v)}")
         _emit("\n".join(lines) + "\n", config.output_path)
     else:
-        _emit(json.dumps(to_jsonable(entries), indent=2, allow_nan=False) + "\n",
-              config.output_path)
+        _emit(to_json(to_jsonable(entries)), config.output_path)
     return 0
 
 
@@ -183,7 +186,7 @@ def _cmd_table1(config: RunConfig) -> int:
                      "lower_bound": lemmas.TANGENT_LOWER_BOUNDS[L],
                      "exceeds": v > lemmas.TANGENT_LOWER_BOUNDS[L]}
                     for L, v in sorted(vals.items())]
-            _emit(json.dumps(rows, indent=2, allow_nan=False) + "\n", config.output_path)
+            _emit(to_json(rows), config.output_path)
         if not ok:
             print("failed claims: tangent-table-bounds", file=sys.stderr)
             return 1
@@ -197,7 +200,7 @@ def _cmd_table1(config: RunConfig) -> int:
                  "lower_bound": lemmas.SLOPE_LOWER_BOUNDS[(L, b)],
                  "exceeds": theta > lemmas.SLOPE_LOWER_BOUNDS[(L, b)]}
                 for L, b, theta in table.entries]
-        _emit(json.dumps(rows, indent=2, allow_nan=False) + "\n", config.output_path)
+        _emit(to_json(rows), config.output_path)
     if not ok:
         print("failed claims: slope-table-bounds", file=sys.stderr)
         return 1
@@ -359,7 +362,7 @@ def _cmd_sweep(config: RunConfig) -> int:
         lines += [f"{row['s']:.12g},{row['F_value']:.12g},{row['err']:.12g}" for row in rows]
         _emit("\n".join(lines) + "\n", config.output_path)
     else:
-        _emit(json.dumps(rows, indent=2, allow_nan=False) + "\n", config.output_path)
+        _emit(to_json(rows), config.output_path)
     bad = [s for s, r in zip(ss, results) if not r.converged]
     if bad:
         print(f"failed claims: sweep-convergence at s = {bad}", file=sys.stderr)
@@ -377,81 +380,212 @@ _COMMANDS = {
 }
 
 
-def _add_common(sp, fmt_default="json"):
-    sp.add_argument("--rho0", default="0", help="zero mass, rational like 1/3")
-    sp.add_argument("--L", type=int, default=1, help="block size")
-    sp.add_argument("--p", default="3", help="moment order")
-    sp.add_argument("--weights", default=None, help="comma list, e.g. 1/3,0.5")
-    sp.add_argument("--n", type=int, default=None, help="count (weights, points, trials base)")
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int, default=None,
-                    help="cap on integrand evaluations, and on the entries any one "
-                         "convolution step may allocate")
+#: the table entry of -h and --help
+_HELP = ("help", None, False, "print every subcommand's options and exit")
+
+#: option -> (dest, converter or tuple of choices (None for a flag), default, help);
+#: rho0, p, weights and a stay text until `build_config`, so the last of
+#: repeated options is the one parsed
+_COMMON = {
+    "-h": _HELP,
+    "--help": _HELP,
+    "--rho0": ("rho0", str, "0", "zero mass, rational like 1/3"),
+    "--L": ("L", int, 1, "block size"),
+    "--p": ("p", str, "3", "moment order"),
+    "--weights": ("weights", str, None, "comma list, e.g. 1/3,0.5"),
+    "--n": ("n", int, None, "count (weights, points, trials base)"),
+    "--trials": ("trials", int, 200, "sampled majorization trials"),
+    "--seed": ("seed", int, DEFAULT_SEED, "seed of the sampled trials"),
+    "--tol": ("tol", float, 1e-8, "quadrature tolerance"),
+    "--format": ("format", ("json", "csv"), "json", "output format"),
+    "--out": ("out", str, None, "output file instead of standard output"),
+    "--budget": ("budget", int, None,
+                 "cap on integrand evaluations and on one convolution step's entries"),
+}
+_OWN = {
+    "table1": {
+        "--format": ("format", ("json", "csv"), "csv", "output format"),
+        "--tangents": ("tangents", None, False,
+                       "emit last-branch tangent values instead of slopes"),
+    },
+    "verify": {
+        "--claim": ("claim", _VERIFY_CLAIMS, "all", "claim to check"),
+        "--a": ("a", str, "1/2", "two-point weight, rational in (0,1)"),
+    },
+    "sweep": {
+        "--s-min": ("s_min", float, 1.0, "first s"),
+        "--s-max": ("s_max", float, 20.0, "last s"),
+    },
+}
+_OPTIONS = {name: {**_COMMON, **_OWN.get(name, {})} for name in _COMMANDS}
+_TOP = {"-h": _HELP, "--help": _HELP}
+
+#: a token that starts with "-" and still reads as a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls;
-    parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="khinchin-lab",
-        description="verify moment-comparison inequalities for weighted sums "
-                    "of symmetric discrete laws")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        fmt_default = "csv" if name == "table1" else "json"
-        sp = subs.add_parser(name)
-        _add_common(sp, fmt_default)
-        if name == "table1":
-            sp.add_argument("--tangents", action="store_true",
-                            help="emit last-branch tangent values instead of slopes")
-        if name == "verify":
-            sp.add_argument("--claim", choices=_VERIFY_CLAIMS, default="all")
-            sp.add_argument("--a", default="1/2", help="two-point weight, rational in (0,1)")
-        if name == "sweep":
-            sp.add_argument("--s-min", dest="s_min", type=float, default=1.0)
-            sp.add_argument("--s-max", dest="s_max", type=float, default=20.0)
-    return parser
+def _classify(token: str, table: dict):
+    """How one token reads against an option table: None for a value, else
+    (option, text after "=" or None), with option None when unknown.  A long
+    option may be cut to a unique prefix; "-h" takes more letters only as
+    further "h"s.  These are argparse's rules."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in table:
+        return token, None
+    name, eq, text = token.partition("=")
+    if eq and name in table:
+        return name, text
+    if token.startswith("--") and token != "--":
+        matches = [option for option in table if option.startswith(name)]
+        if len(matches) > 1:
+            raise CliInputError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], text if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
 
-def build_config(argv) -> RunConfig:
-    ns = _parser().parse_args(argv)
+def _parse_options(tokens: list, table: dict) -> dict | None:
+    """Values by dest of the options in `tokens`, defaults filled in, or
+    None when help comes before any error."""
+    # every token after "--" is a value; "--" itself is left over
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(token, table) for token in tokens[:cut]]
+    if cut < len(tokens):
+        kinds += [(None, None)] + [None] * (len(tokens) - cut - 1)
+    values = {dest: default for dest, _, default, _ in table.values()}
+    unknown = []
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            unknown.append(tokens[i - 1])
+            continue
+        option, text = kind
+        dest, convert, _, _ = table[option]
+        if convert is None:
+            # "-hh" is two helps; any other text after a flag is an error
+            if text is not None and not (option == "-h" and text and not text.strip("h")):
+                raise CliInputError(f"argument {option}: ignored explicit argument {text!r}")
+            if dest == "help":
+                return None
+            values[dest] = True
+            continue
+        if text is None:
+            if i == len(tokens) or kinds[i] is not None:
+                raise CliInputError(f"argument {option}: expected one argument")
+            text = tokens[i]
+            i += 1
+        values[dest] = _convert(option, convert, text)
+    if unknown:
+        raise CliInputError("unrecognized arguments: " + " ".join(unknown))
+    return values
 
+
+def _convert(option: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text not in convert:
+            raise CliInputError(f"argument {option}: invalid choice: {text!r} "
+                                f"(choose from {', '.join(convert)})")
+        return text
+    try:
+        return convert(text)
+    except ValueError:
+        raise CliInputError(
+            f"argument {option}: invalid {convert.__name__} value: {text!r}") from None
+
+
+def _help() -> str:
+    """Usage text: the options every subcommand takes, then each
+    subcommand's own options and defaults."""
+    def describe(option, entry):
+        dest, convert, default, text = entry
+        head = "  " + option
+        if convert is not None:
+            head += " " + ("{" + ",".join(convert) + "}" if isinstance(convert, tuple)
+                           else dest.upper())
+        if default is not None and convert is not None:
+            text += f" (default {default})"
+        return f"{head:<24}{text}" if len(head) < 24 else f"{head}\n{'':<24}{text}"
+
+    lines = ["usage: khinchin-lab {" + ",".join(_COMMANDS) + "} [options]", "",
+             "Verify moment-comparison inequalities for weighted sums of symmetric",
+             "discrete laws.  Exit status: 0 when every verdict passes, 1 when one",
+             "fails, 2 on malformed input.", "",
+             "options of every subcommand:", describe("-h, --help", _HELP)]
+    lines += [describe(option, entry) for option, entry in _COMMON.items()
+              if entry is not _HELP]
+    for name, table in _OPTIONS.items():
+        lines += ["", f"{name}:"]
+        own = [describe(option, entry) for option, entry in table.items()
+               if _COMMON.get(option) != entry]
+        lines += own or ["  no options of its own"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_argv(argv: list):
+    """(subcommand, option values) of an argv, or None when it asks for help."""
+    unknown = []
+    for i, token in enumerate(argv):
+        kind = _classify(token, _TOP)
+        if kind is None or token == "--":
+            if token not in _COMMANDS:
+                raise CliInputError(f"invalid subcommand {token!r} "
+                                    f"(choose from {', '.join(_COMMANDS)})")
+            values = _parse_options(argv[i + 1:], _OPTIONS[token])
+            if values is None:
+                return None
+            if unknown:
+                raise CliInputError("unrecognized arguments: " + " ".join(unknown))
+            return token, values
+        if kind[0] is not None:  # help, or an error for text after it
+            return _parse_options([token], _TOP)
+        unknown.append(token)
+    raise CliInputError(f"missing subcommand (choose from {', '.join(_COMMANDS)})")
+
+
+def build_config(argv) -> RunConfig | None:
+    """The run an argv asks for, or None when it asks for help."""
+    parsed = _parse_argv(list(argv))
+    if parsed is None:
+        return None
+    subcommand, opts = parsed
     params: dict = {
-        "rho0": _parse_rational(ns.rho0, "rho0"),
-        "L": ns.L,
-        "p": _parse_p(ns.p),
-        "weights": parse_weights(ns.weights) if ns.weights is not None else None,
-        "n": ns.n if ns.n is not None else (20 if ns.subcommand == "sweep" else 4),
-        "n_given": ns.n is not None,
-        "trials": ns.trials,
-        "tol": ns.tol,
-        "budget": ns.budget,
+        "rho0": _parse_rational(opts["rho0"], "rho0"),
+        "L": opts["L"],
+        "p": _parse_p(opts["p"]),
+        "weights": parse_weights(opts["weights"]) if opts["weights"] is not None else None,
+        "n": opts["n"] if opts["n"] is not None else (20 if subcommand == "sweep" else 4),
+        "n_given": opts["n"] is not None,
+        "trials": opts["trials"],
+        "tol": opts["tol"],
+        "budget": opts["budget"],
     }
-    if ns.L < 1:
+    if opts["L"] < 1:
         raise CliInputError("L must be at least 1")
     if not (0 <= params["rho0"] <= 1):
         raise CliInputError("rho0 must lie in [0, 1]")
     if params["budget"] is not None and params["budget"] < 1:
         raise CliInputError("budget must be positive")
-    if ns.subcommand == "table1":
-        params["tangents"] = ns.tangents
-    if ns.subcommand == "verify":
-        params["claim"] = ns.claim
-        params["a"] = _parse_rational(ns.a, "a")
-    if ns.subcommand == "sweep":
-        params["s_min"] = ns.s_min
-        params["s_max"] = ns.s_max
+    if subcommand == "table1":
+        params["tangents"] = opts["tangents"]
+    if subcommand == "verify":
+        params["claim"] = opts["claim"]
+        params["a"] = _parse_rational(opts["a"], "a")
+    if subcommand == "sweep":
+        params["s_min"] = opts["s_min"]
+        params["s_max"] = opts["s_max"]
     return RunConfig(
-        subcommand=ns.subcommand,
+        subcommand=subcommand,
         params=params,
-        output_format=ns.format,
-        output_path=ns.out,
-        seed=ns.seed,
+        output_format=opts["format"],
+        output_path=opts["out"],
+        seed=opts["seed"],
     )
 
 
@@ -466,8 +600,13 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command line (`sys.argv[1:]` when argv is None) and return
+    its exit status; malformed input returns 2, help 0."""
     try:
-        config = build_config(argv)
+        config = build_config(sys.argv[1:] if argv is None else argv)
+        if config is None:
+            sys.stdout.write(_help())
+            return 0
         return run(config)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -223,6 +223,13 @@ class SymmetricAtomLaw:
     def __len__(self) -> int:
         return len(self._values)
 
+    def _positive_grid(self) -> tuple[list, list]:
+        """Grid values and mass numerators of the positive atoms as Python
+        numbers: integers over `_scale` (floats when it is None) and over
+        `_den`."""
+        half = (len(self._values) + 1) // 2
+        return self._values[half:].tolist(), self._nums[half:].tolist()
+
     @property
     def merge_shift(self) -> float:
         return self._shift

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "l1_l2_verdict",
     "power_charfn_period",
     "product_charfn_period",
-    "rational_frequency_gcd",
     "solve_critical_exponent",
     "two_weight_threshold",
     "verify_charfn_power_floor",
@@ -79,10 +78,12 @@ class CharFn:
 
     @classmethod
     def from_law(cls, law: SymmetricAtomLaw) -> "CharFn":
-        pos = [(float(v), float(m)) for v, m in zip(law.values, law.masses) if v > 0]
+        # int / int is correctly rounded, as float(Fraction) is
+        values, nums = law._positive_grid()
+        scale, den = law._scale or 1, law._den
         return cls(
-            frequencies=tuple(v for v, _ in pos),
-            pair_masses=tuple(m for _, m in pos),
+            frequencies=tuple(v / scale for v in values),
+            pair_masses=tuple(num / den for num in nums),
             zero_mass=float(law.zero_mass),
         )
 
@@ -112,16 +113,6 @@ def charfn(law: SymmetricAtomLaw, t):
     return CharFn.from_law(law)(t)
 
 
-def rational_frequency_gcd(freqs: Iterable) -> Fraction:
-    """gcd of rational frequencies: every one is an integer multiple."""
-    fracs = [Fraction(f) for f in freqs]
-    if not fracs or any(f <= 0 for f in fracs):
-        raise ValueError("need positive rational frequencies")
-    den = math.lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
-    return Fraction(math.gcd(*nums), den)
-
-
 def _all_rational(xs) -> bool:
     return all(isinstance(x, Rational) and not isinstance(x, bool) for x in xs)
 
@@ -131,21 +122,25 @@ def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
     support value is not rational."""
     if not (law.is_rational and _all_rational(weights)):
         return None
-    freqs = [abs(Fraction(a)) * v for a in weights for v in law.values
-             if a != 0 and v > 0]
-    if not freqs:
+    values, _ = law._positive_grid()
+    rates = [a for a in weights if a != 0]
+    if not (values and rates):
         return None
-    return float(2 * math.pi / rational_frequency_gcd(freqs))
+    # the frequencies |a| v share the gcd gcd(|a|) gcd(v), and the weights
+    # share gcd(numerators over one denominator) / that denominator
+    den = math.lcm(*(a.denominator for a in rates))
+    num = math.gcd(*(a.numerator * (den // a.denominator) for a in rates))
+    return float(2 * math.pi / Fraction(num * math.gcd(*values), den * law._scale))
 
 
 def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
     """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
     if not law.is_rational:
         return None
-    pos = [v for v in law.values if v > 0]
-    if not pos:
+    values, _ = law._positive_grid()
+    if not values:
         return None
-    g = rational_frequency_gcd(pos)
+    g = Fraction(math.gcd(*values), law._scale)
     return 2.0 * math.pi * math.sqrt(float(s)) / float(g)
 
 

@@ -307,12 +307,13 @@ def _draw_pair(trial_seed: int, n: int) -> MajorizationPair:
 
 
 def _infer_step_params(law: SymmetricAtomLaw) -> tuple[Fraction, int] | None:
-    pos = [(v, m) for v, m in zip(law.values, law.masses) if v > 0]
-    if [v for v, _ in pos] != list(range(1, len(pos) + 1)):
+    values, nums = law._positive_grid()
+    unit = law._scale or 1
+    if values != [unit * k for k in range(1, len(values) + 1)]:
         return None
-    if len({m for _, m in pos}) != 1:
+    if len(set(nums)) != 1:
         return None
-    return law.zero_mass, len(pos)
+    return law.zero_mass, len(values)
 
 
 def majorization_report(n: int, law: SymmetricAtomLaw, p: float,

@@ -2,13 +2,21 @@
 
 Everything here enumerates outcome tuples with itertools.product and sums
 in Fraction arithmetic, deliberately bypassing the library's convolution
-and moment code paths.
+and moment code paths.  The argparse front end and the law readers that go
+through `law.values` and `law.masses` are kept as the references of the
+table parser and the grid readers.
 """
+import argparse
+import contextlib
+import io
 import math
 from fractions import Fraction
 from itertools import product
 
 from scipy.integrate import quad
+
+from khinchin_lab import cli
+from khinchin_lab.haagerup import CharFn, _all_rational
 
 
 def step_atoms(rho0, L):
@@ -137,3 +145,129 @@ def comparison_threshold_closed_form(L):
     m2 = Fraction((L + 1) * (2 * L + 1), 6)
     m3 = Fraction(L * (L + 1) ** 2, 4)
     return 1.0 - math.pi * float(m3 * m3) / (8.0 * float(m2) ** 3)
+
+
+# ---------------------------------------------------------------- argparse front end
+
+def _add_common(sp, fmt_default="json"):
+    sp.add_argument("--rho0", default="0", help="zero mass, rational like 1/3")
+    sp.add_argument("--L", type=int, default=1, help="block size")
+    sp.add_argument("--p", default="3", help="moment order")
+    sp.add_argument("--weights", default=None, help="comma list, e.g. 1/3,0.5")
+    sp.add_argument("--n", type=int, default=None, help="count (weights, points, trials base)")
+    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--budget", type=int, default=None,
+                    help="cap on integrand evaluations, and on the entries any one "
+                         "convolution step may allocate")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="khinchin-lab",
+        description="verify moment-comparison inequalities for weighted sums "
+                    "of symmetric discrete laws")
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name in ("constants", "table1", "verify", "haagerup", "necessity", "sweep"):
+        fmt_default = "csv" if name == "table1" else "json"
+        sp = subs.add_parser(name)
+        _add_common(sp, fmt_default)
+        if name == "table1":
+            sp.add_argument("--tangents", action="store_true",
+                            help="emit last-branch tangent values instead of slopes")
+        if name == "verify":
+            sp.add_argument("--claim", choices=cli._VERIFY_CLAIMS, default="all")
+            sp.add_argument("--a", default="1/2", help="two-point weight, rational in (0,1)")
+        if name == "sweep":
+            sp.add_argument("--s-min", dest="s_min", type=float, default=1.0)
+            sp.add_argument("--s-max", dest="s_max", type=float, default=20.0)
+    return parser
+
+
+_ARGPARSE = argparse_parser()
+
+
+def argparse_config(argv):
+    """What the argparse front end made of an argv: its RunConfig, "help"
+    (exit 0) or "reject" (exit 2)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            ns = _ARGPARSE.parse_args(argv)
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "reject"
+    try:
+        params = {
+            "rho0": cli._parse_rational(ns.rho0, "rho0"),
+            "L": ns.L,
+            "p": cli._parse_p(ns.p),
+            "weights": cli.parse_weights(ns.weights) if ns.weights is not None else None,
+            "n": ns.n if ns.n is not None else (20 if ns.subcommand == "sweep" else 4),
+            "n_given": ns.n is not None,
+            "trials": ns.trials,
+            "tol": ns.tol,
+            "budget": ns.budget,
+        }
+        if ns.L < 1 or not (0 <= params["rho0"] <= 1):
+            return "reject"
+        if params["budget"] is not None and params["budget"] < 1:
+            return "reject"
+        if ns.subcommand == "table1":
+            params["tangents"] = ns.tangents
+        if ns.subcommand == "verify":
+            params["claim"] = ns.claim
+            params["a"] = cli._parse_rational(ns.a, "a")
+        if ns.subcommand == "sweep":
+            params["s_min"] = ns.s_min
+            params["s_max"] = ns.s_max
+    except cli.CliInputError:
+        return "reject"
+    return cli.RunConfig(subcommand=ns.subcommand, params=params, output_format=ns.format,
+                         output_path=ns.out, seed=ns.seed)
+
+
+# ---------------------------------------------------------------- law readers
+
+def rational_frequency_gcd(freqs):
+    """gcd of rational frequencies: every one is an integer multiple."""
+    fracs = [Fraction(f) for f in freqs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return Fraction(math.gcd(*(f.numerator * (den // f.denominator) for f in fracs)), den)
+
+
+def charfn_from_law(law):
+    pos = [(float(v), float(m)) for v, m in zip(law.values, law.masses) if v > 0]
+    return CharFn(frequencies=tuple(v for v, _ in pos),
+                  pair_masses=tuple(m for _, m in pos),
+                  zero_mass=float(law.zero_mass))
+
+
+def product_charfn_period(law, weights):
+    if not (law.is_rational and _all_rational(weights)):
+        return None
+    freqs = [abs(Fraction(a)) * v for a in weights for v in law.values
+             if a != 0 and v > 0]
+    if not freqs:
+        return None
+    return float(2 * math.pi / rational_frequency_gcd(freqs))
+
+
+def power_charfn_period(law, s):
+    if not law.is_rational:
+        return None
+    pos = [v for v in law.values if v > 0]
+    if not pos:
+        return None
+    g = rational_frequency_gcd(pos)
+    return 2.0 * math.pi * math.sqrt(float(s)) / float(g)
+
+
+def infer_step_params(law):
+    pos = [(v, m) for v, m in zip(law.values, law.masses) if v > 0]
+    if [v for v, _ in pos] != list(range(1, len(pos) + 1)):
+        return None
+    if len({m for _, m in pos}) != 1:
+        return None
+    return law.zero_mass, len(pos)

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -8,8 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from khinchin_lab.cli import CliInputError, main, parse_weights
+import oracles
+from khinchin_lab.cli import CliInputError, RunConfig, build_config, main, parse_weights
 from khinchin_lab.exactprob import (
     SUPPORT_GUARD,
     StepLawParams,
@@ -338,7 +344,7 @@ def test_byte_identical_across_runs():
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):
-    # one process, one parser: no value may carry over from call to call
+    # one process, one set of option tables: no value may carry over from call to call
     runs = [
         ["constants", "--rho0", "1/3", "--L", "2", "--n", "3"],
         ["constants", "--format", "csv"],
@@ -358,3 +364,135 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
 def test_no_subcommand_exits_two():
     res = _run_subprocess([])
     assert res.returncode == 2
+
+
+# ---------------------------------------------------------------- argv parsing
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--L", "x"],
+    ["verify", "--L"],
+    ["verify", "--rho0", "-1/2"],
+    ["verify", "--format", "xml"],
+    ["verify", "--claim", "bogus"],
+    ["verify", "--t", "1"],
+    ["verify", "--bogus"],
+    ["verify", "5"],
+    ["table1", "--tangents=yes"],
+    ["sweep", "--s-min", "x"],
+    ["bogus"],
+    ["--bogus", "verify"],
+    [],
+])
+def test_malformed_argv_returns_two_in_process(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"],
+                                  ["sweep", "--L", "2", "--he"], ["table1", "-hh"]])
+def test_help_lists_every_subcommand_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    for name, sub in oracles.argparse_parser()._subparsers._group_actions[0].choices.items():
+        assert f"\n{name}:" in out
+        for action in sub._actions:
+            for option in action.option_strings:
+                assert option in out, (name, option)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "two-point"],
+    ["haagerup", "--weights", "1,1/3", "--rho0", "1/2", "--tol", "1e-6"],
+    ["constants"],
+    ["sweep", "--rho0", "1/2", "--n", "3", "--s-max", "3", "--tol", "1e-6"],
+    ["table1", "--tangents", "--format", "json"],
+])
+def test_main_leaves_no_garbage_cycles(argv):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    assert call() == 0  # first call: imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert call() == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_OPTIONS = ["--rho0", "--L", "--p", "--weights", "--n", "--trials", "--seed", "--tol",
+            "--format", "--out", "--budget", "--tangents", "--claim", "--a", "--s-min",
+            "--s-max"]
+# unique and shared prefixes and unknown spellings; help and its look-alikes
+_SPELLINGS = ["--rh", "--we", "--tr", "--se", "--to", "--fo", "--bu", "--ta", "--cl",
+              "--s-mi", "--s-m", "--s", "--t", "--b", "--l", "--N", "--bogus", "-x", "-L"]
+_HELP_LIKE = ["--h", "--help", "-h", "-hh", "-hx", "--help=1", "-h=h", "--"]
+_VALUES = ["0", "1", "3", "-1", "-3", " 2", "+4", "10", "2" * 25, "x", "", "-", "1.5",
+           "-0.5", ".5", "-.5", "3.", "-3.", "1e-6", "-1e-8", "nan", "inf", "1/2", "-1/2",
+           "3/2", "1/0", "1,1/3", "0.5,2", "-1,2", "1,,2", "json", "csv", "JSON", "all",
+           "two-point", "schur", "ostrowski", "bogus", "a b", "-a b", "--L"]
+
+
+# values each option accepts, negative and abbreviated forms among them
+_GOOD = {"--rho0": ["0", "1/2", "1/3", "1"], "--L": ["1", "2", " 3", "+2"],
+         "--p": ["3", "4", "3.5", "-.5", "-3"], "--weights": ["1,1/3", "0.5,2", "1"],
+         "--n": ["2", "5", "-2"], "--trials": ["5", "0"], "--seed": ["7", "-1"],
+         "--tol": ["1e-6", "0.001", "nan"], "--format": ["json", "csv"],
+         "--out": ["-", "r.json"], "--budget": ["100"], "--claim": ["schur", "l1l2"],
+         "--a": ["1/3", "2/3"], "--s-min": ["1", "-1", "2.5"], "--s-max": ["3", "-.5"]}
+
+
+@st.composite
+def _argvs(draw):
+    head = draw(st.sampled_from(["constants", "table1", "verify", "haagerup", "necessity",
+                                 "sweep"] * 4 + ["bogus", "--bogus", "-1", "--help"]))
+    tokens = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 7))
+        if kind <= 3:
+            option = draw(st.sampled_from(_OPTIONS))
+            if option not in _GOOD:  # --tangents
+                tokens.append(option)
+                continue
+            value = draw(st.sampled_from(_GOOD[option]))
+            tokens += [option + "=" + value] if kind == 0 else [option, value]
+        elif kind == 4:
+            tokens += [draw(st.sampled_from(_OPTIONS)), draw(st.sampled_from(_VALUES))]
+        elif kind == 5:
+            tokens.append(draw(st.sampled_from(_OPTIONS + _SPELLINGS))
+                          + "=" + draw(st.sampled_from(_VALUES)))
+        elif kind == 6:
+            tokens.append(draw(st.sampled_from(_SPELLINGS + _HELP_LIKE)))
+        else:
+            tokens.append(draw(st.sampled_from(_VALUES)))
+    return [head, *tokens]
+
+
+@settings(max_examples=600)
+@given(argv=_argvs())
+def test_table_parser_matches_the_argparse_front_end(argv):
+    want = oracles.argparse_config(argv)
+    try:
+        got = build_config(argv)
+    except CliInputError:
+        got = "reject"
+    if got is None:
+        got = "help"
+    # repr: a NaN --tol is equal in both, though not to itself
+    assert repr(got) == repr(want), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim=schur", "--tr", "5", "--rho0", "x", "--rho0", "1/4", "--L=2"],
+    ["sweep", "--s-min", "-1", "--s-max=3", "--n", "-2", "--p", "-.5"],
+    ["table1", "--tangents", "--form", "json", "--out", "-"],
+    ["haagerup", "--weights", "1,1/3", "--tol", "nan"],
+])
+def test_table_parser_on_accepted_argvs(argv):
+    want = oracles.argparse_config(argv)
+    assert isinstance(want, RunConfig)
+    assert repr(build_config(argv)) == repr(want)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,6 +32,7 @@ from khinchin_lab.haagerup import (
     two_weight_threshold,
     verify_charfn_power_floor,
 )
+from khinchin_lab.schur import _infer_step_params
 
 COIN = make_step_law(StepLawParams(Fraction(0), 1))
 HALF = make_step_law(StepLawParams(Fraction(1, 2), 1))
@@ -371,3 +372,39 @@ def test_two_weight_threshold_l2_closed_form():
     assert rep.passed
     assert float(rep.witness["closed_form"]) == pytest.approx(
         (6 * math.sqrt(2) - 7) / 5, abs=1e-12)
+
+
+# ---------------------------------------------------------------- grid readers
+
+_BIG = st.sampled_from([Fraction(3**45), Fraction(1, 3**41), Fraction(2**63 + 1, 7)])
+
+
+@st.composite
+def _laws(draw):
+    """Step laws, and symmetric laws on rational (int64 or object grids) or
+    float values."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return make_step_law(StepLawParams(draw(st.fractions(0, 1, max_denominator=12)),
+                                           draw(st.integers(1, 6))))
+    n = draw(st.integers(1, 4))
+    value = (st.fractions(Fraction(1, 10**6), 100, max_denominator=10**6) | _BIG
+             if kind == 1 else st.floats(1e-3, 1e3))
+    values = draw(st.lists(value, min_size=n, max_size=n, unique=True))
+    raw = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    zero = draw(st.integers(0, 50))
+    total = 2 * sum(raw) + zero
+    return make_symmetric_law(Fraction(zero, total),
+                              {v: Fraction(r, total) for v, r in zip(values, raw)})
+
+
+@settings(max_examples=150)
+@given(law=_laws(),
+       weights=st.lists(st.fractions(-4, 4, max_denominator=60) | st.integers(-3, 3)
+                        | st.floats(0.1, 3.0), max_size=4),
+       s=st.floats(1.0, 20.0))
+def test_grid_readers_equal_the_fraction_readers(law, weights, s):
+    assert CharFn.from_law(law) == oracles.charfn_from_law(law)
+    assert product_charfn_period(law, weights) == oracles.product_charfn_period(law, weights)
+    assert power_charfn_period(law, s) == oracles.power_charfn_period(law, s)
+    assert _infer_step_params(law) == oracles.infer_step_params(law)

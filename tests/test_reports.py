@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from khinchin_lab.reports import VerdictReport, format_reports, sig12, to_jsonable
+from khinchin_lab.reports import VerdictReport, format_reports, sig12, to_json, to_jsonable
 
 
 def test_sig12_rounding():
@@ -65,3 +69,40 @@ def test_format_csv_layout():
     cell = json.loads(rows[2][-1])
     assert cell == {"note": 'say "hi"'}
     assert rows[1][-1] == ""
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**80, 2**80)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 2**64, -2**70])
+            | st.text(max_size=6)
+            | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2028", "\U0001f600", "\ud800"]))
+_KEYS = (st.text(max_size=4) | st.integers(-2**70, 2**70) | st.booleans() | st.none()
+         | st.floats(allow_nan=False, allow_infinity=False))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300)
+@given(value=_VALUES)
+def test_to_json_is_json_dumps_indent_2(value):
+    assert to_json(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1, math.nan],
+                                   {"a": {"b": (math.inf,)}}, {math.nan: 1}])
+def test_to_json_rejects_nan_and_infinities(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        to_json(value)
+
+
+@pytest.mark.parametrize("value", [object(), [Fraction(1, 2)], {(1, 2): 3}])
+def test_to_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        to_json(value)
