@@ -353,8 +353,7 @@ def _cmd_sweep(config: RunConfig) -> int:
         raise CliInputError("sweep needs 1 <= s-min < s-max")
     quad_kwargs = _quad_kwargs(p)
     ss = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-    results = [haagerup.charfn_power_integral(law, s, tol=p["tol"], **quad_kwargs)
-               for s in ss]
+    results = haagerup.charfn_power_integrals(law, ss, tol=p["tol"], **quad_kwargs)
     rows = [{"s": sig12(s), "F_value": sig12(r.value), "err": sig12(r.abs_error)}
             for s, r in zip(ss, results)]
     if config.output_format == "csv":

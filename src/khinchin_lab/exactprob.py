@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,7 +58,9 @@ __all__ = [
     "law_to_json",
     "make_step_law",
     "make_symmetric_law",
+    "moment_root",
     "plus_part_second_moment",
+    "ratio_root",
     "second_moment",
     "shifted_gaussian_moment",
     "sigma_of",
@@ -582,7 +585,8 @@ class MomentValue:
     """An absolute moment with its computation mode and error bound.
 
     `exact` carries the full rational when method is exact; `abs_error` is 0
-    in that case and a summation rounding bound otherwise.
+    in that case and a summation rounding bound otherwise.  An exact moment
+    past the float range has value inf; `moment_root` still takes its root.
     """
 
     value: float
@@ -595,6 +599,55 @@ class MomentValue:
             raise ValueError("absolute moments are nonnegative")
         if self.method is MomentMethod.EXACT_RATIONAL and self.abs_error != 0:
             raise ValueError("exact moments carry zero abs_error")
+
+
+def _exact_moment(exact: Fraction) -> MomentValue:
+    """An exact moment, with value inf where float(exact) would overflow."""
+    try:
+        value = float(exact)
+    except OverflowError:
+        value = math.inf
+    return MomentValue(value, MomentMethod.EXACT_RATIONAL, 0.0, exact)
+
+
+def ratio_root(num: int, den: int, p: int) -> float:
+    """(num / den)^(1/p) for integers num >= 0, den > 0 and p >= 1.
+
+    Through the float q = num / den while that is 0 or a normal float:
+    rounding 1/p moves q^(1/p) by up to |ln q| eps / 2p relative, beyond
+    the roundings of q and of the power.  Past the float range, or below
+    its normal range, the root comes from integers:
+    r = floor((num 2^(pe) / den)^(1/p)), with e the smallest shift >= 0
+    that gives r at least 64 bits, and the root is r 2^-e, rounded twice.
+    A root past the float range raises OverflowError.
+    """
+    try:
+        quotient = num / den
+        if quotient >= sys.float_info.min or num == 0:
+            return quotient ** (1.0 / p)
+    except OverflowError:
+        pass
+    e = max(64 - (num.bit_length() - den.bit_length()) // p, 0)
+    n = (num << (p * e)) // den
+    # Newton's iteration for the floor of the p-th root falls monotonically
+    # from any start above it; the float estimate is within 1e-12 of the
+    # root, so start just above it and take two or three steps
+    r = int(2.0 ** (math.log2(n) / p) * (1.0 + 1e-9)) + 1
+    while True:
+        nxt = ((p - 1) * r + n // r ** (p - 1)) // p
+        if nxt >= r:
+            return math.ldexp(float(r), -e)
+        r = nxt
+
+
+def moment_root(m: MomentValue, p) -> float:
+    """(E|S|^p)^(1/p) of a moment: the float value to the power 1/p, and for
+    an exact moment `ratio_root` of its rational, which keeps the same
+    float route while the moment is finite and goes on past the float
+    range."""
+    if m.exact is None:
+        return m.value ** (1.0 / float(p))
+    return ratio_root(m.exact.numerator, m.exact.denominator, int(p))
 
 
 def abs_moment(law: SymmetricAtomLaw, p, mode: str = "auto") -> MomentValue:
@@ -612,8 +665,7 @@ def abs_moment(law: SymmetricAtomLaw, p, mode: str = "auto") -> MomentValue:
     if mode == "exact" and not can_exact:
         raise ValueError("exact moment requires rational support and integer p")
     if can_exact and mode != "float":
-        exact = _exact_power_sum(law, int(pf))
-        return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
+        return _exact_moment(_exact_power_sum(law, int(pf)))
     vals = law.values_float()
     masses = law.masses_float()
     terms = masses * np.abs(vals) ** pf
@@ -650,12 +702,11 @@ def sum_abs_moment(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar],
     if pf == int(pf) and _exact_inputs(laws, weights):
         k, halves = _split_point([len(law) for law in laws])
         if pf % 2 == 0 and (pf <= _RECURSION_MAX_P or halves > SUPPORT_GUARD):
-            exact = sum_even_moment(laws, weights, int(pf))
-            return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
+            return _exact_moment(sum_even_moment(laws, weights, int(pf)))
         if k:
-            exact = _moment_of_pair(convolve_weighted(laws[:k], weights[:k]),
-                                    convolve_weighted(laws[k:], weights[k:]), int(pf))
-            return MomentValue(float(exact), MomentMethod.EXACT_RATIONAL, 0.0, exact)
+            return _exact_moment(_moment_of_pair(convolve_weighted(laws[:k], weights[:k]),
+                                                 convolve_weighted(laws[k:], weights[k:]),
+                                                 int(pf)))
     return abs_moment(convolve_weighted(laws, weights), p)
 
 
@@ -759,11 +810,12 @@ def weighted_sum_norm(weights: Sequence[Scalar], law: SymmetricAtomLaw, p) -> Mo
     """p-norm (E |sum_i w_i X_i|^p)^(1/p) of an iid weighted sum.
 
     The method tag is inherited from the underlying moment; for the exact
-    method the root is correct to double rounding and abs_error stays 0.
+    method the root is `moment_root` of the exact moment, also past the
+    float range, and abs_error stays 0 (`ratio_root` bounds its rounding).
     """
     m = sum_abs_moment([law] * len(weights), weights, p)
     pf = float(p)
-    root = m.value ** (1.0 / pf)
+    root = moment_root(m, p)
     if m.method is MomentMethod.EXACT_RATIONAL:
         return MomentValue(root, m.method, 0.0, m.exact)
     err = m.abs_error * root / (pf * m.value) if m.value > 0 else m.abs_error ** (1.0 / pf)

@@ -11,7 +11,8 @@ and for unit-variance-free comparisons the relevant object is
 which interpolates the moment of a sum of s equal pieces.  When the mass
 at zero is at least 1/2 the characteristic function is nonnegative, F(1)
 recovers E|Y|, and F(s) >= F(1) for s >= 1; that floor powers the
-L1-versus-L2 comparison with constant E|Y| / sqrt(E Y^2).  This module
+L1-versus-L2 comparison with constant E|Y| / sqrt(E Y^2).  A grid of s is
+one quadrature family (`charfn_power_integrals`).  This module
 also locates the exponent where the normalized Gaussian absolute moment
 passes through the value it takes at 2, and the zero-mass threshold that
 two equal weights force on the L1 comparison.
@@ -38,7 +39,7 @@ from .exactprob import (
     sum_abs_moment,
     sum_even_moment,
 )
-from .quadrature import QuadratureResult, integrate_khinchin_tail
+from .quadrature import QuadratureResult, integrate_khinchin_tail, integrate_periodic_tails
 from .reports import VerdictReport
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "CriticalExponentResult",
     "charfn",
     "charfn_power_integral",
+    "charfn_power_integrals",
     "concavity_in_zero_mass",
     "first_abs_moment_integral",
     "haagerup_function",
@@ -133,15 +135,21 @@ def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
     return float(2 * math.pi / Fraction(num * math.gcd(*values), den * law._scale))
 
 
-def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
-    """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
+def _support_gcd(law: SymmetricAtomLaw) -> float | None:
+    """gcd of the positive support of a rational law, or None when the
+    support is not rational or is {0}."""
     if not law.is_rational:
         return None
     values, _ = law._positive_grid()
     if not values:
         return None
-    g = Fraction(math.gcd(*values), law._scale)
-    return 2.0 * math.pi * math.sqrt(float(s)) / float(g)
+    return float(Fraction(math.gcd(*values), law._scale))
+
+
+def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
+    """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
+    gcd = _support_gcd(law)
+    return None if gcd is None else 2.0 * math.pi * math.sqrt(float(s)) / gcd
 
 
 def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
@@ -158,21 +166,32 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
     K = E[|S|^-1; S != 0] of the sum S.  The law of S is `sum_law` when
     given (it must be convolve_weighted([law] * n, weights)), else it is
     built here, once and only when that route runs; convolve_weighted's
-    ValueError past its support guard then propagates.
+    ValueError past its support guard then propagates.  Weights of equal
+    absolute value share one characteristic-function evaluation per
+    integrand call, raised to the power of their count.
     """
     if len(weights) == 0:
         raise ValueError("need at least one weight")
     phi = CharFn.from_law(law)
     a = [float(x) for x in weights]
     v_max = max(phi.frequencies) if phi.frequencies else 0.0
+    groups: dict[float, list] = {}  # |a_j| -> [its first weight, count]
+    for aj in a:
+        groups.setdefault(abs(aj), [aj, 0])[1] += 1
 
     def g(ts):
-        # 1 - prod_j (1 - h_j) = sum_j h_j prod_{i<j} (1 - h_i), h_j = 1 - phi(a_j t):
-        # every term is small where g is, so small t loses no digits
+        # 1 - prod_j (1 - h_j) = sum_j h_j prod_{i<j} (1 - h_i), h_j = 1 - phi(a_j t),
+        # where a group of k equal |a_j| is one factor (1 - h)^k with
+        # 1 - (1 - h)^k = -expm1(k log1p(-h)) below h = 1/2: every term is
+        # small where g is, so small t loses no digits
         out = np.zeros_like(ts)
         keep = np.ones_like(ts)  # prod_{i<j} (1 - h_i)
-        for aj in a:
+        for aj, k in groups.values():
             term = phi.complement(aj * ts)
+            if k > 1:
+                near = term < 0.5
+                term[near] = -np.expm1(k * np.log1p(-term[near]))
+                term[~near] = 1.0 - (1.0 - term[~near]) ** k
             term *= keep
             out += term
             keep -= term
@@ -196,43 +215,61 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
     )
 
 
+def charfn_power_integrals(law: SymmetricAtomLaw, s_grid: Sequence[float],
+                           tol: float = 1e-8,
+                           max_evals: int = 10_000_000) -> list[QuadratureResult]:
+    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt for each
+    s of s_grid, every s >= 1; one result per s.
+
+    The law needs rational support (a ValueError otherwise): each integrand
+    is then periodic and its integral runs over half a period against
+    (pi/P)^2 csc^2(pi u/P).  The characteristic function, E|X| and the
+    support gcd are built once, and the integrals of the grid advance in
+    lock-step as one family of `quadrature.integrate_periodic_tails`; each
+    keeps its own evaluation budget `max_evals` and its own convergence
+    flag.  The point mass at 0 gives F = 0 exactly.
+    """
+    sfs = [float(s) for s in s_grid]
+    for s, sf in zip(s_grid, sfs):
+        if not (sf >= 1.0):
+            raise ValueError(f"s must satisfy s >= 1, got {s!r}")
+    if not law.is_rational:
+        raise ValueError("the power integral needs a law with rational support")
+    phi = CharFn.from_law(law)
+    if not phi.frequencies:  # the point mass at 0: the integrand is 0
+        return [QuadratureResult(0.0, 0.0, 0) for _ in sfs]
+    roots = [math.sqrt(sf) for sf in sfs]
+    gcd = _support_gcd(law)
+    mean = float(first_abs_moment(law))
+    powers, scales = np.array(sfs), np.array(roots)
+
+    def g(ts, members):
+        # 1 - |1 - h|^s with h = 1 - phi; below h = 1/2 through expm1 and log1p,
+        # which keep their digits as h -> 0
+        s = powers[members]
+        h = phi.complement(ts / scales[members])
+        near = h < 0.5
+        out = np.empty_like(h)
+        out[near] = -np.expm1(s[near] * np.log1p(-h[near]))
+        far = ~near
+        out[far] = 1.0 - np.abs(1.0 - h[far]) ** s[far]
+        return out
+
+    return integrate_periodic_tails(
+        g,
+        [2.0 * math.pi * root / gcd for root in roots],
+        tol=tol,
+        rate_hints=[root * mean for root in roots],
+        max_evals=max_evals,
+    )
+
+
 def charfn_power_integral(law: SymmetricAtomLaw, s: float,
                           tol: float = 1e-8,
                           max_evals: int = 10_000_000) -> QuadratureResult:
-    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt, s >= 1.
-
-    The law needs rational support (a ValueError otherwise): the integrand
-    is then periodic and the integral runs over half a period against
-    (pi/P)^2 csc^2(pi u/P).  The point mass at 0 gives F = 0 exactly.
-    """
-    sf = float(s)
-    if not (sf >= 1.0):
-        raise ValueError(f"s must satisfy s >= 1, got {s!r}")
-    if not law.is_rational:
-        raise ValueError("charfn_power_integral needs a law with rational support")
-    phi = CharFn.from_law(law)
-    if not phi.frequencies:  # the point mass at 0: the integrand is 0
-        return QuadratureResult(0.0, 0.0, 0)
-    root = math.sqrt(sf)
-    rate = root * float(first_abs_moment(law))
-
-    def g(ts):
-        # 1 - |1 - h|^s with h = 1 - phi; below h = 1/2 through expm1 and log1p,
-        # which keep their digits as h -> 0
-        h = phi.complement(ts / root)
-        near = h < 0.5
-        out = np.empty_like(h)
-        out[near] = -np.expm1(sf * np.log1p(-h[near]))
-        out[~near] = 1.0 - np.abs(1.0 - h[~near]) ** sf
-        return out
-
-    return integrate_khinchin_tail(
-        g,
-        period_hint=power_charfn_period(law, sf),
-        tol=tol,
-        rate_hint=rate,
-        max_evals=max_evals,
-    )
+    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt, s >= 1:
+    the one-element grid of `charfn_power_integrals`."""
+    return charfn_power_integrals(law, [s], tol=tol, max_evals=max_evals)[0]
 
 
 _SIGN_LAW = make_step_law(StepLawParams(Fraction(0), 1))
@@ -272,8 +309,9 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
 
     Each witness row carries `converged` (all three of its integrals
     converged) and `abs_error` (the largest of their error estimates); the
-    verdict fails when any integral did not converge.  `max_evals` caps the
-    integrand points of each integral.
+    verdict fails when any integral did not converge.  The integrals run as
+    three `charfn_power_integrals` families (the law, its companion, and
+    the coin at 2s); `max_evals` caps the integrand points of each integral.
     """
     rho = law.zero_mass
     if not (Fraction(1, 2) <= rho < 1):
@@ -286,10 +324,11 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
     split = float(2 * (1 - rho))
     rows = []
     worst = math.inf
-    for s in s_grid:
-        inputs = (charfn_power_integral(law, s, tol=tol, max_evals=max_evals),
-                  charfn_power_integral(companion, s, tol=tol, max_evals=max_evals),
-                  haagerup_function(2.0 * float(s), tol=tol, max_evals=max_evals))
+    families = (charfn_power_integrals(law, s_grid, tol=tol, max_evals=max_evals),
+                charfn_power_integrals(companion, s_grid, tol=tol, max_evals=max_evals),
+                charfn_power_integrals(_SIGN_LAW, [2.0 * float(s) for s in s_grid],
+                                       tol=tol, max_evals=max_evals))
+    for s, inputs in zip(s_grid, zip(*families)):
         f_s, f_half, f_coin = (r.value for r in inputs)
         checks = {
             "floor": f_s - f1,

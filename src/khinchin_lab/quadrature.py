@@ -1,23 +1,37 @@
 """One-dimensional quadrature with error estimates.
 
-Two entry points.  `integrate_adaptive` handles finite intervals with a
-globally adaptive Gauss-Kronrod (7, 15) rule and QUADPACK's embedded error
-estimate (Piessens et al., 1983).  That estimate scales |Kronrod - Gauss|
-by a heuristic; it is not a proven bound on the error.
+One driver, `integrate_family`, advances a family of finite integrals in
+lock-step with a globally adaptive Gauss-Kronrod (7, 15) rule and
+QUADPACK's embedded error estimate (Piessens et al., 1983).  That estimate
+scales |Kronrod - Gauss| by a heuristic; it is not a proven bound on the
+error.  `integrate_adaptive` is its one-member call.
 `integrate_khinchin_tail` handles the semi-infinite integrals
 (2/pi) * int_0^inf g(t)/t^2 dt, with g even, bounded and O(t^2) at the
 origin, that arise from characteristic-function representations of first
 absolute moments (Haagerup, "The best constants in the Khintchine
-inequality", Studia Math. 70 (1981)).
+inequality", Studia Math. 70 (1981)); `integrate_periodic_tails` runs its
+periodic route for a family of periodic g at once.
 
-Panels are evaluated in batches: the panels of the initial subdivision go
-PANEL_CHUNK at a time, each chunk in one integrand call on its (chunk, 15)
-grid of nodes, and each bisection evaluates both halves of the worst panel
-in one 30-point call.  Refinement order and running sums follow the
-panels one by one, as a panel-at-a-time driver would; a panel's value and
-error estimate can differ from one-panel calls only through the summation
-order inside its 15-term rule.  The evaluation budget covers the initial
-subdivision too: past it, every k-th breakpoint is kept.
+The integrand of a family receives the points and each point's member
+index, and sees the points grouped by member in increasing member order.
+The seed panels of all members, in member order, go PANEL_CHUNK at a
+time, each chunk in one integrand call on its (chunk, 15) grid of nodes.
+Then, each round, every member whose summed error estimate exceeds the
+tolerance, and whose budget allows, gives up its worst panels: as many
+as it takes for their error estimates to cover that excess, and at most
+PANEL_CHUNK.  All of them are bisected together, PANEL_CHUNK bisections
+(30 points each) per integrand call.  This is the vectorized refinement
+of Shampine ("Vectorized adaptive quadrature in MATLAB", J. Comput.
+Appl. Math. 211, 2008).  A member's running sums take its bisections one
+by one, in the order its panels left its heap.  Each member keeps its
+own evaluation budget, which covers its seed panels too (past it, every
+k-th breakpoint is kept), its own depth cap and its own convergence
+flag, so it reports what it would alone, save the order of some sums.
+The 15-term panel sums run through BLAS matrix-vector products, whose
+order of summing a row can depend on how many rows the call holds, so a
+seed panel's value and error estimate can move in the last bits with
+the panels that share its chunk.  Each bisection sums its two halves as
+a block of its own, as a driver that bisects one panel per call does.
 
 The semi-infinite routine integrates from t = 0 by one of two routes, each
 one finite integral with a closed-form remainder; the integrand is bounded
@@ -40,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +62,20 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "integrate_adaptive",
+    "integrate_family",
     "integrate_khinchin_tail",
+    "integrate_periodic_tails",
 ]
 
 _EPS = np.finfo(float).eps
+_ROUNDOFF = 50.0 * _EPS  # QUADPACK's floor on a panel's error estimate, per unit resabs
+_ZERO = np.zeros(1)
 
-#: seed panels per integrand call (15 nodes each)
+#: bisections of a seed panel past which a piece is not refined
+_MAX_DEPTH = 60
+
+#: seed panels (15 nodes each) per integrand call, bisections (30 nodes
+#: each) per refinement call, and the most panels one member gives up in a round
 PANEL_CHUNK = 128
 
 #: most seed panels the by-parts tail lays over [0, T]; a period whose half
@@ -116,9 +138,9 @@ _GAUSS_W = np.array([
 ])
 
 
-def _evaluate(f, xs: np.ndarray) -> np.ndarray:
-    """f(xs) as floats; f must be vectorized, returning one value per point."""
-    ys = np.asarray(f(xs), dtype=float)
+def _evaluate(f, xs: np.ndarray, *args) -> np.ndarray:
+    """f(xs, *args) as floats; f must be vectorized, returning one value per point."""
+    ys = np.asarray(f(xs, *args), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(
             f"integrand must map an array of shape {xs.shape} to one of the same shape, "
@@ -127,21 +149,165 @@ def _evaluate(f, xs: np.ndarray) -> np.ndarray:
 
 
 def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod panels [a[i], b[i]] in one integrand call on their
-    (k, 15) grid of nodes; returns per-panel (values, error estimates)."""
-    half = 0.5 * (b - a)
+    """Gauss-Kronrod panels [a, b], elementwise over two arrays of one shape,
+    in one integrand call on the flattened grid of their 15 nodes each;
+    returns per-panel (values, error estimates) in that shape.  Each 15-term
+    sum is one row of a matrix-vector product over the last axis, so panels
+    in separate rows of a 2-D shape are summed as separate calls would."""
+    width = b - a
+    half = 0.5 * width
     mid = 0.5 * (a + b)
-    ys = _evaluate(f, (mid[:, None] + half[:, None] * _KRONROD_X).ravel()).reshape(-1, 15)
+    xs = mid[..., None] + half[..., None] * _KRONROD_X
+    ys = _evaluate(f, xs.ravel()).reshape(xs.shape)
     val_k = half * (ys @ _KRONROD_W)
-    val_g = half * (ys[:, 1::2] @ _GAUSS_W)
+    val_g = half * (ys[..., 1::2] @ _GAUSS_W)
     resabs = half * (np.abs(ys) @ _KRONROD_W)
-    mean = val_k / (b - a)
-    resasc = half * (np.abs(ys - mean[:, None]) @ _KRONROD_W)
+    mean = val_k / width
+    resasc = half * (np.abs(ys - mean[..., None]) @ _KRONROD_W)
     diff = np.abs(val_k - val_g)
     scaled = resasc > 0.0
     ratio = np.divide(200.0 * diff, resasc, out=np.zeros_like(diff), where=scaled)
     err = np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), diff)
-    return val_k, np.maximum(err, 50.0 * _EPS * resabs)
+    return val_k, np.maximum(err, _ROUNDOFF * resabs)
+
+
+def _owned(f, members):
+    """f as a function of the points alone, passing on `members`, the member
+    index of each point; f itself when members is None (f then takes the
+    points alone)."""
+    return f if members is None else lambda xs: f(xs, members)
+
+
+class _Member:
+    """Running state of one integral of a family: the value and error sums,
+    the evaluations spent, and the heap of refinable panels."""
+
+    __slots__ = ("val", "err", "evals", "seq", "heap", "thinned")
+
+
+def integrate_family(
+    f,
+    intervals,
+    tol: float = 1e-10,
+    *,
+    max_depth: int = _MAX_DEPTH,
+    max_evals: int = 10_000_000,
+) -> list[QuadratureResult]:
+    """Adaptive integrals of x -> f(x, m) over the m-th of `intervals`, all
+    advanced in lock-step; one result per member.
+
+    `intervals` holds one (lo, hi, breakpoints) per member: a finite
+    interval and the interior points that seed its subdivision (kinks and
+    known feature scales go there).  f(xs, members) gets a 1-D array of
+    points and the member index of each point (an int array of the same
+    shape), and must return one value per point, or a ValueError is raised.
+
+    Each member refines the panels with the worst embedded error estimates
+    until its summed estimate satisfies abs_error <= tol * max(1, |value|),
+    its panels reach the depth cap of `max_depth` bisections, or it has
+    spent `max_evals` integrand points.  When that budget cannot cover the
+    panels its breakpoints make, at most max_evals // 15 panels (at least
+    one) are kept by taking every k-th breakpoint, and the member is
+    flagged unconverged.  The module docstring gives the order of the
+    integrand calls.
+    """
+    return _drive(f, intervals, tol, max_depth, max_evals, True)
+
+
+def _drive(f, intervals, tol: float, max_depth: int, max_evals: int,
+           with_members: bool) -> list[QuadratureResult]:
+    """The driver of `integrate_family`; f takes the points alone, with no
+    member indices, unless `with_members`.  `integrate_adaptive` passes its
+    integrand as it is: a wrapper that drops the indices, and the indices
+    themselves, would cost a one-member call a few microseconds, about 2%
+    of a typical call."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    cap = max(max_evals // 15, 1)
+    lefts, rights, members = [], [], []
+    for lo, hi, breakpoints in intervals:
+        lo = float(lo)
+        hi = float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+        inner = np.unique(np.asarray(breakpoints, dtype=float))
+        inner = inner[(inner > lo) & (inner < hi)]
+        member = _Member()
+        member.thinned = inner.size + 1 > cap
+        if member.thinned:
+            step = -(-(inner.size + 1) // cap)  # ceil(panels / cap)
+            inner = inner[step - 1::step]
+        ends = np.concatenate(([lo], inner, [hi]))
+        lefts.append(ends[:-1])
+        rights.append(ends[1:])
+        members.append(member)
+    if not members:
+        return []
+
+    sizes = [x.size for x in lefts]
+    owners = None  # the member of each seed node
+    if len(members) == 1:
+        a, b = lefts[0], rights[0]
+        if with_members:
+            owners = np.zeros(15 * a.size, dtype=np.intp)
+    else:
+        a, b = np.concatenate(lefts), np.concatenate(rights)
+        if with_members:
+            owners = np.repeat(np.arange(len(members)), [15 * n for n in sizes])
+    chunks = [_gk15(_owned(f, None if owners is None else owners[15 * i:15 * (i + PANEL_CHUNK)]),
+                    a[i:i + PANEL_CHUNK], b[i:i + PANEL_CHUNK])
+              for i in range(0, a.size, PANEL_CHUNK)]
+    vals = np.concatenate([v for v, _ in chunks])
+    errs = np.concatenate([e for _, e in chunks])
+    start = 0
+    for member, n, lo, hi in zip(members, sizes, lefts, rights):
+        v, e = vals[start:start + n], errs[start:start + n]
+        start += n
+        # cumsum adds left to right: the running sums over the panels from 0.0
+        member.val, member.err = np.concatenate((_ZERO, v, _ZERO, e)).reshape(2, -1).cumsum(
+            axis=1)[:, -1].tolist()
+        member.evals = 15 * n
+        member.seq = n
+        member.heap = []
+        if member.err > tol * max(1.0, abs(member.val)):
+            # (-err, seq, a, b, val, err, depth): the worst panel pops first
+            member.heap = list(zip((-e).tolist(), range(n), lo.tolist(), hi.tolist(),
+                                   v.tolist(), e.tolist(), [0] * n))
+            heapq.heapify(member.heap)
+
+    while True:
+        picked = []  # (member, its index, a, mid, b, val, err, depth)
+        for k, member in enumerate(members):
+            room = min(PANEL_CHUNK, (max_evals - member.evals) // 30)
+            excess = member.err - tol * max(1.0, abs(member.val))
+            covered, taken = 0.0, 0
+            while member.heap and taken < room and covered < excess:
+                _, _, lo, hi, val, err, depth = heapq.heappop(member.heap)
+                if depth >= max_depth or hi - lo <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
+                    # Unrefinable piece: keep its contribution, stop touching it.
+                    continue
+                picked.append((member, k, lo, 0.5 * (lo + hi), hi, val, err, depth))
+                covered += err
+                taken += 1
+        if not picked:
+            break
+        for i in range(0, len(picked), PANEL_CHUNK):
+            batch = picked[i:i + PANEL_CHUNK]
+            ends = np.array([p[2:5] for p in batch])  # (a, mid, b) per parent
+            owners = np.repeat([p[1] for p in batch], 30) if with_members else None
+            halves, half_errs = _gk15(_owned(f, owners), ends[:, :2], ends[:, 1:])
+            for (member, _, lo, mid, hi, val, err, depth), (v1, v2), (e1, e2) in zip(
+                    batch, halves.tolist(), half_errs.tolist()):
+                member.evals += 30
+                member.val += (v1 + v2) - val
+                member.err += (e1 + e2) - err
+                heapq.heappush(member.heap, (-e1, member.seq, lo, mid, v1, e1, depth + 1))
+                heapq.heappush(member.heap, (-e2, member.seq + 1, mid, hi, v2, e2, depth + 1))
+                member.seq += 2
+
+    return [QuadratureResult(m.val, m.err, m.evals,
+                             not m.thinned and m.err <= tol * max(1.0, abs(m.val)))
+            for m in members]
 
 
 def integrate_adaptive(
@@ -150,74 +316,26 @@ def integrate_adaptive(
     hi: float,
     tol: float = 1e-10,
     *,
-    max_depth: int = 60,
+    max_depth: int = _MAX_DEPTH,
     max_evals: int = 10_000_000,
     breakpoints=(),
 ) -> QuadratureResult:
     """Adaptive panel-bisection integral of f over the finite interval [lo, hi].
 
-    Refines the interval with the worst embedded error estimate until the
-    summed estimate satisfies abs_error <= tol * max(1, |result|), a depth
-    cap of `max_depth` bisections, or the evaluation budget.  `breakpoints`
-    seeds the initial subdivision (interior points; kinks and known feature
-    scales go here).  When the budget cannot cover the panels they make, at
-    most max_evals // 15 panels (at least one) are kept by taking every k-th
-    breakpoint, and the result is flagged unconverged.  The integrand must
-    be vectorized: called on an array of points it returns an array of the
-    same shape, or a ValueError is raised.
+    The one-member call of `integrate_family`: refines the interval with the
+    worst embedded error estimates until the summed estimate satisfies
+    abs_error <= tol * max(1, |result|), a depth cap of `max_depth`
+    bisections, or the evaluation budget.  `breakpoints` seeds the initial
+    subdivision (interior points; kinks and known feature scales go here).
+    When the budget cannot cover the panels they make, at most
+    max_evals // 15 panels (at least one) are kept by taking every k-th
+    breakpoint, and the result is flagged unconverged.  Each round
+    bisects the fewest worst panels whose error estimates cover the excess
+    over the tolerance, at most PANEL_CHUNK, in one integrand call.  The
+    integrand must be vectorized: called on an array of points it returns
+    an array of the same shape, or a ValueError is raised.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
-    inner = np.unique(np.asarray(breakpoints, dtype=float))
-    inner = inner[(inner > lo) & (inner < hi)]
-    cap = max(max_evals // 15, 1)
-    thinned = inner.size + 1 > cap
-    if thinned:
-        step = -(-(inner.size + 1) // cap)  # ceil(panels / cap)
-        inner = inner[step - 1::step]
-    ends = np.concatenate(([lo], inner, [hi]))
-    lefts, rights = ends[:-1], ends[1:]
-    chunks = [_gk15(f, lefts[i:i + PANEL_CHUNK], rights[i:i + PANEL_CHUNK])
-              for i in range(0, lefts.size, PANEL_CHUNK)]
-    vals = np.concatenate([v for v, _ in chunks])
-    errs = np.concatenate([e for _, e in chunks])
-    # np.cumsum adds left to right: the running sum over the panels from 0.0
-    total_val = float(np.cumsum(np.concatenate(([0.0], vals)))[-1])
-    total_err = float(np.cumsum(np.concatenate(([0.0], errs)))[-1])
-    n = vals.size
-    evals = 15 * n
-    seq = n
-    heap: list[tuple[float, int, float, float, float, float, int]] = []
-    if total_err > tol * max(1.0, abs(total_val)):
-        # (-err, seq, a, b, val, err, depth): the worst panel pops first
-        heap = list(zip((-errs).tolist(), range(n), lefts.tolist(), rights.tolist(),
-                        vals.tolist(), errs.tolist(), [0] * n))
-        heapq.heapify(heap)
-
-    while heap and total_err > tol * max(1.0, abs(total_val)) and evals + 30 <= max_evals:
-        _, _, a, b, val, err, depth = heapq.heappop(heap)
-        width = b - a
-        if depth >= max_depth or width <= 8.0 * _EPS * max(abs(a), abs(b), 1.0):
-            # Unrefinable piece: keep its contribution, stop touching it.
-            continue
-        mid = 0.5 * (a + b)
-        halves, half_errs = _gk15(f, np.array([a, mid]), np.array([mid, b]))
-        (v1, v2), (e1, e2) = halves.tolist(), half_errs.tolist()
-        evals += 30
-        total_val += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, depth + 1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, b, v2, e2, depth + 1))
-        seq += 1
-
-    converged = not thinned and total_err <= tol * max(1.0, abs(total_val))
-    return QuadratureResult(total_val, total_err, evals, converged)
+    return _drive(f, [(lo, hi, breakpoints)], tol, max_depth, max_evals, False)[0]
 
 
 def _seed_count(hi: float, width: float) -> int:
@@ -225,13 +343,74 @@ def _seed_count(hi: float, width: float) -> int:
     return max(int(hi / max(width, 1e-12)), 0)
 
 
-def _integrate_seeded(f, hi: float, width: float, tol: float, max_evals: int,
-                      cap: int) -> QuadratureResult:
-    """`integrate_adaptive` over [0, hi] from at most `cap` uniform seed
-    panels of about the given width."""
-    n = min(_seed_count(hi, width), cap)
-    return integrate_adaptive(f, 0.0, hi, tol, max_evals=max_evals,
-                              breakpoints=np.linspace(0.0, hi, n + 1)[1:-1])
+def _seed_breakpoints(hi: float, n: int) -> np.ndarray:
+    """Interior breakpoints of n uniform seed panels over [0, hi]: the
+    points k (hi / n), 0 < k < n, that np.linspace(0, hi, n + 1) makes,
+    without its fixed cost."""
+    return np.arange(1, n) * (hi / n) if n > 1 else np.empty(0)
+
+
+def _seed_width(rate_hint) -> float:
+    """Seed panel width pi/rate for a rate hint (1 when None or 0)."""
+    return math.pi / max(float(rate_hint) if rate_hint else 1.0, 1e-6)
+
+
+def _period(period_hint) -> float:
+    """A period hint as a float, which must be positive and finite."""
+    period = float(period_hint)
+    if not (period > 0.0 and math.isfinite(period)):
+        raise ValueError("period_hint must be a positive finite number")
+    return period
+
+
+def integrate_periodic_tails(
+    g,
+    periods,
+    tol: float = 1e-8,
+    *,
+    rate_hints=None,
+    max_evals: int = 10_000_000,
+) -> list[QuadratureResult]:
+    """(2/pi) * int_0^inf g(t, m)/t^2 dt for each member m of a family of
+    periodic integrands, in one `integrate_family` call.
+
+    g(ts, members) is called as a family integrand is; t -> g(t, m) must
+    meet the preconditions of `integrate_khinchin_tail` and be periodic
+    with period periods[m].  Member m is
+    int_0^{P/2} g(u, m) (pi/P)^2 csc^2(pi u/P) du with P = periods[m],
+    exactly, on seed panels of width pi/rate_hints[m] (pi when the hints
+    are None); a half period that needs more panels than the budget allows
+    is seeded with what it allows and flagged unconverged.  `max_evals`
+    caps the integrand points of each member.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    rates = [None] * len(periods) if rate_hints is None else rate_hints
+    if len(rates) != len(periods):
+        raise ValueError("need one rate hint per period")
+    panels = max(max_evals // 15, 1)
+    scales, seeds, spans = [], [], []
+    for period, rate in zip(periods, rates):
+        period = _period(period)
+        half = 0.5 * period
+        n = _seed_count(half, _seed_width(rate))
+        scales.append(math.pi / period)
+        seeds.append(n)
+        spans.append((0.0, half, _seed_breakpoints(half, min(n, panels))))
+    scales = np.array(scales)
+
+    def weighted(us, members):
+        # sum_{k in Z} (u + kP)^-2 = (pi/P)^2 csc^2(pi u/P), and g is even
+        # and P-periodic: the half-line folds onto [0, P/2]
+        scale = scales[members]
+        w = scale / np.sin(scale * us)
+        return _evaluate(g, us, members) * (w * w)
+
+    two_over_pi = 2.0 / math.pi
+    # within tol of the raw integral is within tol after the factor 2/pi
+    return [QuadratureResult(two_over_pi * res.value, two_over_pi * res.abs_error,
+                             res.evaluations, res.converged and n <= panels)
+            for res, n in zip(_drive(weighted, spans, tol, _MAX_DEPTH, max_evals, True), seeds)]
 
 
 def integrate_khinchin_tail(
@@ -253,11 +432,11 @@ def integrate_khinchin_tail(
 
     `period_hint` is the period P of g; pass it only when g is genuinely
     periodic (rational-support laws under rational weights; never float
-    weights).  The integral is then
-    int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du, exactly, on seed panels of
-    width pi/rate up to the evaluation budget; a half period that needs
-    more panels than the budget allows is seeded with what it allows and
-    the result is flagged unconverged.
+    weights).  The integral is then the one-member call of
+    `integrate_periodic_tails`: int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du,
+    exactly, on seed panels of width pi/rate up to the evaluation budget;
+    a half period that needs more panels than the budget allows is seeded
+    with what it allows and the result is flagged unconverged.
 
     `bohr` = (M, K, shift), or a function returning it that runs only on
     this route, describes g = 1 - psi with psi(t) = E cos(tS) for a finite
@@ -285,34 +464,15 @@ def integrate_khinchin_tail(
     if period_hint is None and bohr is None:
         raise ValueError("the tail needs period_hint (g periodic) or bohr "
                          "(g = 1 - E cos(tS) for a finite law S)")
-    rate = max(float(rate_hint) if rate_hint else 1.0, 1e-6)
-    seed_width = math.pi / rate
-    panels = max(max_evals // 15, 1)
-    two_over_pi = 2.0 / math.pi
+    seed_width = _seed_width(rate_hint)
 
-    if period_hint is not None:
-        period = float(period_hint)
-        if not (period > 0.0 and math.isfinite(period)):
-            raise ValueError("period_hint must be a positive finite number")
-        half = 0.5 * period
-        seeds = _seed_count(half, seed_width)
-        # Wider than pi/rate, seed panels can step over the integrand's
-        # features while the panel rule agrees with itself on them; with
-        # `bohr` known, a half period past SEED_CAP seeds goes by parts.
-        if bohr is None or seeds <= SEED_CAP:
-            scale = math.pi / period
-
-            def weighted(us):
-                # sum_{k in Z} (u + kP)^-2 = (pi/P)^2 csc^2(pi u/P), and g is
-                # even and P-periodic: the half-line folds onto [0, P/2]
-                w = scale / np.sin(scale * us)
-                return _evaluate(g, us) * (w * w)
-
-            res = _integrate_seeded(weighted, half, seed_width, tol, max_evals, panels)
-            # within tol of the raw integral is within tol after the factor 2/pi
-            return replace(res, value=two_over_pi * res.value,
-                           abs_error=two_over_pi * res.abs_error,
-                           converged=res.converged and seeds <= panels)
+    # Wider than pi/rate, seed panels can step over the integrand's features
+    # while the panel rule agrees with itself on them; with `bohr` known, a
+    # half period past SEED_CAP seeds goes by parts.
+    if period_hint is not None and (
+            bohr is None or _seed_count(0.5 * _period(period_hint), seed_width) <= SEED_CAP):
+        return integrate_periodic_tails(lambda ts, _: g(ts), [period_hint], tol,
+                                        rate_hints=[rate_hint], max_evals=max_evals)[0]
 
     def f(ts):
         return _evaluate(g, ts) / ts**2
@@ -321,10 +481,14 @@ def integrate_khinchin_tail(
     # (2/pi) 2K/T^2 = 0.4 tol, and the quadrature's 0.5 tol max(1, raw)
     # is at most 0.5 tol max(1, value) after the factor 2/pi
     cut = max(math.sqrt(2.0 * k / (0.2 * math.pi * tol)), seed_width)
+    panels = max(max_evals // 15, 1)
     short = _seed_count(cut, seed_width) > panels
     if short:
         cut = panels * seed_width
-    res = _integrate_seeded(f, cut, seed_width, 0.5 * tol, max_evals, SEED_CAP)
+    res = integrate_adaptive(f, 0.0, cut, 0.5 * tol, max_evals=max_evals,
+                             breakpoints=_seed_breakpoints(
+                                 cut, min(_seed_count(cut, seed_width), SEED_CAP)))
+    two_over_pi = 2.0 / math.pi
     value = two_over_pi * (res.value + (1.0 - mean) / cut)
     abs_error = two_over_pi * (res.abs_error + 2.0 * k / (cut * cut)) + shift
     converged = res.converged and not short and abs_error <= tol * max(1.0, abs(value))

@@ -44,6 +44,8 @@ from .exactprob import (
     gaussian_norm,
     make_step_law,
     make_symmetric_law,
+    moment_root,
+    ratio_root,
     sum_abs_moment,
     sum_even_moment,
 )
@@ -423,7 +425,7 @@ def verify_gaussian_comparison(weights: Sequence, laws: Sequence[SymmetricAtomLa
         if law.zero_mass != 0:
             raise ValueError(f"law {k} has mass {law.zero_mass} at zero; the comparison needs none")
     mp = sum_abs_moment(laws, weights, p)
-    n_p = mp.value ** (1.0 / float(p))
+    n_p = moment_root(mp, p)
     n_2 = math.sqrt(float(sum_even_moment(laws, weights, 2)))
     c_p = gaussian_norm(p)
     bound = c_p * n_2
@@ -447,6 +449,8 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
     laws S_k = S_(k-1) + X are built only up to S_ceil(n_max/2), and
     E |S_n|^p is the pair kernel on S_ceil(n/2) and S_floor(n/2)
     (`_moment_of_pair`).  Other cases build every prefix law up to S_n_max.
+    Exact moments take their roots by `ratio_root`, so a moment past the
+    float range still gives its norm.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -460,14 +464,14 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
     out = []
     for n, moments in enumerate(prefixes, start=1):
         if recursion:
-            num, den = moments[-1]
-            m_p = num / den
+            norm = ratio_root(*moments[-1], int(pf))
         elif exact:
-            m_p = float(_moment_of_pair(sums[(n + 1) // 2], sums[n // 2], int(pf)))
+            m_p = _moment_of_pair(sums[(n + 1) // 2], sums[n // 2], int(pf))
+            norm = ratio_root(m_p.numerator, m_p.denominator, int(pf))
         else:
-            m_p = abs_moment(sums[n], p).value
+            norm = abs_moment(sums[n], p).value ** (1.0 / pf)
         num, den = moments[1]
-        out.append(m_p ** (1.0 / pf) / math.sqrt(num / den))
+        out.append(norm / math.sqrt(num / den))
     return out
 
 

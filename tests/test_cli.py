@@ -9,6 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,33 @@ def test_constants_with_ratio_sequence(capsys):
     assert obj["ratio_sequence"][1] == pytest.approx(2 ** (1 / 6), rel=1e-10)
     assert obj["gaussian_norm"] == pytest.approx((2 * math.sqrt(2 / math.pi)) ** (1 / 3))
     assert obj["schur_zero_mass_threshold"] == "1/2"
+
+
+def _coin_sum_norm(n: int, p: int) -> float:
+    """||X_1 + ... + X_n||_p for the +-1 coin, from the binomial law, in 60 digits."""
+    with mpmath.workdps(60):
+        moment = sum(math.comb(n, k) * mpmath.mpf(abs(n - 2 * k)) ** p for k in range(n + 1))
+        return float(mpmath.root(moment / 2**n, p))
+
+
+@pytest.mark.parametrize("p", [1000, 999])
+def test_norms_past_the_float_range(capsys, p):
+    # E|X_1 + X_2 + X_3|^p = (3 + 3^p)/4 for the coin: past the float range
+    # at these p, while its p-th root is about 3
+    code, out, _ = run_cli(capsys, "constants", "--p", str(p), "--L", "1", "--n", "8")
+    assert code == 0
+    ratios = json.loads(out)["ratio_sequence"]
+    with mpmath.workdps(60):
+        closed = float(mpmath.root((3 + mpmath.mpf(3) ** p) / 4, p))
+    assert _coin_sum_norm(3, p) == pytest.approx(closed, rel=1e-15)
+    assert ratios == pytest.approx([_coin_sum_norm(n, p) / math.sqrt(n) for n in range(1, 9)],
+                                   rel=1e-11)
+    code, out, _ = run_cli(capsys, "verify", "--claim", "comparison", "--rho0", "0", "--L", "1",
+                           "--p", str(p), "--weights", "1,1,1")
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"]
+    assert rep["witness"]["norm_p"] == pytest.approx(closed, rel=1e-11)
+    assert rep["params"]["moment_method"] == "exact-rational"
 
 
 def test_constants_without_n(capsys):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,9 @@ from khinchin_lab.exactprob import (
     law_to_json,
     make_step_law,
     make_symmetric_law,
+    moment_root,
     plus_part_second_moment,
+    ratio_root,
     second_moment,
     shifted_gaussian_moment,
     sigma_of,
@@ -710,3 +713,38 @@ def test_plus_part_second_moment_gaussian():
     for a in (0.3, 1.0, 2.7):
         want, err = oracles.gaussian_plus_part_quad(1.3, a)
         assert plus_part_second_moment(ref, a) == pytest.approx(want, rel=1e-10, abs=10 * err)
+
+
+# ---------------------------------------------------------------- roots past the float range
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=st.integers(1, 10**700), den=st.integers(1, 10**700), p=st.integers(1, 1200))
+@example(num=1, den=10**400, p=2)  # num / den underflows to 0
+@example(num=3**1000 + 3, den=4, p=1000)
+def test_ratio_root_matches_mpmath(num, den, p):
+    with mpmath.workdps(50):
+        ref = mpmath.root(mpmath.mpf(num) / den, p)
+    if not mpmath.mpf(2) ** -1000 <= ref <= mpmath.mpf(2) ** 1000:
+        return  # outside the normal float range even as a root
+    got = ratio_root(num, den, p)
+    # the integer route rounds the floor of a 64-bit root once more; the
+    # float route rounds num / den, 1/p (by eps/2p relative, which moves
+    # q^(1/p) by |ln q| eps / 2p = |ln ref| eps / 2) and the power
+    assert abs(got - float(ref)) <= (abs(math.log(ref)) / 2 + 4) * EPS * float(ref)
+
+
+def test_moment_past_the_float_range_keeps_its_root():
+    coin = make_step_law(StepLawParams(Fraction(0), 1))
+    m = sum_abs_moment([coin] * 3, [1, 1, 1], 1000)
+    assert m.value == math.inf and m.exact == Fraction(3 + 3**1000, 4)
+    with mpmath.workdps(50):
+        ref = float(mpmath.root((3 + mpmath.mpf(3) ** 1000) / 4, 1000))
+    assert moment_root(m, 1000) == pytest.approx(ref, rel=2 * EPS)
+    norm = weighted_sum_norm([1, 1, 1], coin, 1000)
+    assert (norm.value, norm.exact) == (moment_root(m, 1000), m.exact)
+    # inside the float range the root is the float route's, bit for bit
+    small = sum_abs_moment([coin] * 3, [1, 1, 1], 5)
+    assert moment_root(small, 5) == small.value ** (1.0 / 5)

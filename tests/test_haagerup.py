@@ -17,11 +17,13 @@ from khinchin_lab.exactprob import (
     first_abs_moment,
     make_step_law,
     make_symmetric_law,
+    sum_abs_moment,
 )
 from khinchin_lab.haagerup import (
     CharFn,
     charfn,
     charfn_power_integral,
+    charfn_power_integrals,
     concavity_in_zero_mass,
     first_abs_moment_integral,
     haagerup_function,
@@ -213,6 +215,107 @@ def test_charfn_power_integral_periodic_past_seed_cap(monkeypatch):
     exact = float(oracles.enum_abs_moment([1] * 4, [atoms] * 4, 1)) / 2  # E|S_4| / sqrt(4)
     res = charfn_power_integral(make_step_law(StepLawParams(Fraction(1, 2), 3)), 4.0, tol=1e-10)
     assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
+EPS = np.finfo(float).eps
+
+
+def _assert_family_matches_solo(law, s_grid, tol):
+    """Each member of one charfn_power_integrals family against its own
+    one-element call.
+
+    Both integrate the same nonnegative integrand on the same panels and
+    bisect the same panels, so evaluations and convergence agree.  Only the
+    order of summing a seed panel's 15 terms can differ (with the panels
+    that share its integrand call).  Two orders of the Kronrod sum differ
+    by at most 32 eps resabs, the integrand's last-bit differences
+    included, and resabs is the panel value for a nonnegative integrand,
+    so the value moves by at most 32 eps |value| plus the rounding of the
+    running sums over the n panels.  The Gauss weights are at most 2.05
+    times the Kronrod weights on their nodes, so d = |Kronrod - Gauss|
+    moves by at most 64 eps resabs.  The error estimate
+    resasc min(1, (200 d / resasc)^1.5) is 300-Lipschitz in d, and moves by
+    at most 16 eps of itself with the order of resasc's nonnegative terms.
+    """
+    family = charfn_power_integrals(law, s_grid, tol=tol)
+    assert len(family) == len(s_grid)
+    for s, got in zip(s_grid, family):
+        solo = charfn_power_integral(law, s, tol=tol)
+        assert (got.evaluations, got.converged) == (solo.evaluations, solo.converged)
+        n = solo.evaluations // 15
+        assert abs(got.value - solo.value) <= (32 + 2 * n) * EPS * abs(solo.value)
+        assert abs(got.abs_error - solo.abs_error) <= (
+            300 * 64 * EPS * abs(solo.value) + (16 + 2 * n) * EPS * solo.abs_error)
+
+
+@pytest.mark.parametrize("rho0", [Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(3, 4)])
+@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8])
+def test_sweep_family_matches_one_member_calls(rho0, tol):
+    # every `sweep` table the benchmark draws at seeds 1 and 2: L = 3, s = 1..10
+    _assert_family_matches_solo(make_step_law(StepLawParams(rho0, 3)),
+                                [float(s) for s in range(1, 11)], tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho0=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]),
+       L=st.integers(1, 4),
+       s_grid=st.lists(st.floats(1.0, 12.0), min_size=1, max_size=6),
+       tol=st.sampled_from([1e-6, 1e-8]))
+def test_power_family_matches_one_member_calls(rho0, L, s_grid, tol):
+    _assert_family_matches_solo(make_step_law(StepLawParams(rho0, L)), s_grid, tol)
+
+
+def test_power_family_edge_cases():
+    assert charfn_power_integrals(HALF, []) == []
+    point = make_step_law(StepLawParams(Fraction(1), 2))
+    assert [(r.value, r.abs_error, r.evaluations) for r in charfn_power_integrals(
+        point, [1.0, 4.0])] == [(0.0, 0.0, 0)] * 2
+    with pytest.raises(ValueError, match="s >= 1"):
+        charfn_power_integrals(HALF, [2.0, 0.5])
+
+
+def test_aperiodic_refinement_in_batches(monkeypatch):
+    # [1, sqrt 2, 0.3] at tol 1e-10: 1 890 330 evaluations, which a driver
+    # that bisects one panel per integrand call spends in 53 168 calls
+    law = HALF
+    weights = [1.0, math.sqrt(2.0), 0.3]
+    sizes = []
+    complement = CharFn.complement
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return complement(self, t)
+
+    monkeypatch.setattr(CharFn, "complement", counting)
+    res = first_abs_moment_integral(weights, law, tol=1e-10)
+    assert res.converged
+    assert res.evaluations <= 1_890_330
+    exact = float(first_abs_moment(convolve_weighted([law] * 3, weights)))
+    assert abs(res.value - exact) <= res.abs_error
+    calls = len(sizes) // len(weights)  # one complement per weight per integrand call
+    assert sum(sizes) == len(weights) * res.evaluations
+    assert calls <= 53_168 // 10
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), 0.5])
+def test_equal_weights_share_one_charfn_call(monkeypatch, weight):
+    # 15 equal weights: one factor phi(t/2)^15, so one complement call per
+    # integrand call, on the periodic route (rational) and by parts (float)
+    law = make_step_law(StepLawParams(Fraction(1, 3), 2))
+    weights = [weight] * 15
+    sizes = []
+    complement = CharFn.complement
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return complement(self, t)
+
+    monkeypatch.setattr(CharFn, "complement", counting)
+    res = first_abs_moment_integral(weights, law, tol=1e-8)
+    assert res.converged
+    assert sum(sizes) == res.evaluations
+    exact = float(sum_abs_moment([law] * 15, [Fraction(1, 2)] * 15, 1).exact)
     assert abs(res.value - exact) <= res.abs_error
 
 

@@ -15,7 +15,9 @@ from khinchin_lab.quadrature import (
     _KRONROD_X,
     _gk15,
     integrate_adaptive,
+    integrate_family,
     integrate_khinchin_tail,
+    integrate_periodic_tails,
 )
 
 EPS = np.finfo(float).eps
@@ -154,8 +156,78 @@ def test_integrand_calls_hold_at_most_one_chunk():
     seeds = -(-panels // PANEL_CHUNK)
     assert sizes[:seeds] == [15 * PANEL_CHUNK] * (seeds - 1) + [15 * (panels % PANEL_CHUNK)]
     assert len(sizes) > seeds  # the kinks of |sin| force bisection
-    assert set(sizes[seeds:]) == {30}  # both children in one call
+    # each refinement call bisects 1 to PANEL_CHUNK panels, 30 points each
+    assert all(size % 30 == 0 and 30 <= size <= 30 * PANEL_CHUNK for size in sizes[seeds:])
     assert res.evaluations == sum(sizes)
+
+
+def test_family_integrand_sees_each_points_member():
+    calls = []
+
+    def f(x, members):
+        calls.append(members.copy())
+        return (members + 1.0) * np.ones_like(x)
+
+    res = integrate_family(f, [(0.0, 1.0, ()), (0.0, 2.0, (0.5, 1.0)), (1.0, 4.0, ())])
+    assert [r.value for r in res] == pytest.approx([1.0, 4.0, 9.0], rel=1e-14)
+    assert [r.evaluations for r in res] == [15, 45, 15]
+    assert len(calls) == 1  # the seed panels of every member in one call
+    assert calls[0].tolist() == [0] * 15 + [1] * 45 + [2] * 15
+    assert integrate_family(f, []) == []
+
+
+def test_family_members_match_one_member_calls():
+    # members of different difficulty refine in the same rounds, each on its
+    # own budget: one converges on its seed panel, one within the budget, two
+    # run out of it, and the results are those of separate calls
+    def f(x, members):
+        return np.sqrt(np.abs(np.sin((members + 1) * 20.0 * x)))
+
+    intervals = [(0.0, 3.0, np.linspace(0.0, 3.0, 41)[1:-1]), (0.5, 2.0, ()),
+                 (0.0, 1.0, (0.25, 0.5)), (0.1, 0.11, ())]
+    sizes = []
+
+    def recording(x, members):
+        sizes.append(x.size)
+        assert np.all(np.diff(members) >= 0)  # grouped by member, in order
+        return f(x, members)
+
+    family = integrate_family(recording, intervals, tol=1e-9, max_evals=13_700)
+    assert len(sizes) > 1 and all(size % 30 == 0 and size <= 30 * PANEL_CHUNK
+                                  for size in sizes[1:])
+    assert sum(sizes) == sum(r.evaluations for r in family)
+    assert [r.converged for r in family] == [False, True, False, True]
+    assert family[3].evaluations == 15
+    for m, ((lo, hi, bps), got) in enumerate(zip(intervals, family)):
+        solo = integrate_adaptive(lambda x: f(x, np.full(x.shape, m)), lo, hi, tol=1e-9,
+                                  max_evals=13_700, breakpoints=bps)
+        assert (got.evaluations, got.converged) == (solo.evaluations, solo.converged)
+        # the seed panels may sum their 15 terms in another order (see
+        # test_batched_panels_match_per_panel_reference); f >= 0, so resabs
+        # sums to the value, and the estimate is 300-Lipschitz in
+        # |Kronrod - Gauss|, which moves by at most 64 eps resabs
+        n = solo.evaluations // 15
+        assert abs(got.value - solo.value) <= (32 + 2 * n) * EPS * solo.value
+        assert abs(got.abs_error - solo.abs_error) <= (
+            300 * 64 * EPS * solo.value + (16 + 2 * n) * EPS * solo.abs_error)
+
+
+def test_periodic_tails_family_matches_one_member_tails():
+    # (2/pi) int (1 - cos(kt))/t^2 dt = k, period 2 pi / k
+    ks = (1.0, 2.0, 3.0)
+    family = integrate_periodic_tails(lambda t, members: 1.0 - np.cos(np.take(ks, members) * t),
+                                      [2 * math.pi / k for k in ks], tol=1e-8,
+                                      rate_hints=ks)
+    for k, got in zip(ks, family):
+        solo = integrate_khinchin_tail(lambda t: 1.0 - np.cos(k * t), period_hint=2 * math.pi / k,
+                                       tol=1e-8, rate_hint=k)
+        assert got.converged and abs(got.value - k) < 2e-8 * k
+        assert (got.evaluations, got.converged) == (solo.evaluations, solo.converged)
+        assert got.value == pytest.approx(solo.value, rel=1e-14, abs=0.0)
+    with pytest.raises(ValueError, match="one rate hint per period"):
+        integrate_periodic_tails(lambda t, m: t, [1.0, 2.0], rate_hints=[1.0])
+    with pytest.raises(ValueError, match="period_hint"):
+        integrate_periodic_tails(lambda t, m: t, [1.0, -2.0])
 
 
 def test_charfn_blocks_bound_temporaries(monkeypatch):
