@@ -135,21 +135,15 @@ def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
     return float(2 * math.pi / Fraction(num * math.gcd(*values), den * law._scale))
 
 
-def _support_gcd(law: SymmetricAtomLaw) -> float | None:
-    """gcd of the positive support of a rational law, or None when the
-    support is not rational or is {0}."""
+def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
+    """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
     if not law.is_rational:
         return None
     values, _ = law._positive_grid()
     if not values:
         return None
-    return float(Fraction(math.gcd(*values), law._scale))
-
-
-def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
-    """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
-    gcd = _support_gcd(law)
-    return None if gcd is None else 2.0 * math.pi * math.sqrt(float(s)) / gcd
+    g = Fraction(math.gcd(*values), law._scale)
+    return 2.0 * math.pi * math.sqrt(float(s)) / float(g)
 
 
 def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
@@ -223,11 +217,11 @@ def charfn_power_integrals(law: SymmetricAtomLaw, s_grid: Sequence[float],
 
     The law needs rational support (a ValueError otherwise): each integrand
     is then periodic and its integral runs over half a period against
-    (pi/P)^2 csc^2(pi u/P).  The characteristic function, E|X| and the
-    support gcd are built once, and the integrals of the grid advance in
-    lock-step as one family of `quadrature.integrate_periodic_tails`; each
-    keeps its own evaluation budget `max_evals` and its own convergence
-    flag.  The point mass at 0 gives F = 0 exactly.
+    (pi/P)^2 csc^2(pi u/P).  The characteristic function and E|X| are
+    built once, and the integrals of the grid advance in lock-step as one
+    family of `quadrature.integrate_periodic_tails`; each keeps its own
+    evaluation budget `max_evals` and its own convergence flag.  The point
+    mass at 0 gives F = 0 exactly.
     """
     sfs = [float(s) for s in s_grid]
     for s, sf in zip(s_grid, sfs):
@@ -239,7 +233,6 @@ def charfn_power_integrals(law: SymmetricAtomLaw, s_grid: Sequence[float],
     if not phi.frequencies:  # the point mass at 0: the integrand is 0
         return [QuadratureResult(0.0, 0.0, 0) for _ in sfs]
     roots = [math.sqrt(sf) for sf in sfs]
-    gcd = _support_gcd(law)
     mean = float(first_abs_moment(law))
     powers, scales = np.array(sfs), np.array(roots)
 
@@ -257,7 +250,7 @@ def charfn_power_integrals(law: SymmetricAtomLaw, s_grid: Sequence[float],
 
     return integrate_periodic_tails(
         g,
-        [2.0 * math.pi * root / gcd for root in roots],
+        [power_charfn_period(law, sf) for sf in sfs],
         tol=tol,
         rate_hints=[root * mean for root in roots],
         max_evals=max_evals,

@@ -1,10 +1,10 @@
 """One-dimensional quadrature with error estimates.
 
-One driver, `integrate_family`, advances a family of finite integrals in
-lock-step with a globally adaptive Gauss-Kronrod (7, 15) rule and
-QUADPACK's embedded error estimate (Piessens et al., 1983).  That estimate
-scales |Kronrod - Gauss| by a heuristic; it is not a proven bound on the
-error.  `integrate_adaptive` is its one-member call.
+One driver advances a family of finite integrals in lock-step with a
+globally adaptive Gauss-Kronrod (7, 15) rule and QUADPACK's embedded error
+estimate (Piessens et al., 1983).  That estimate scales |Kronrod - Gauss|
+by a heuristic; it is not a proven bound on the error.
+`integrate_adaptive` is its one-member call.
 `integrate_khinchin_tail` handles the semi-infinite integrals
 (2/pi) * int_0^inf g(t)/t^2 dt, with g even, bounded and O(t^2) at the
 origin, that arise from characteristic-function representations of first
@@ -62,7 +62,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "integrate_adaptive",
-    "integrate_family",
     "integrate_khinchin_tail",
     "integrate_periodic_tails",
 ]
@@ -171,13 +170,6 @@ def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val_k, np.maximum(err, _ROUNDOFF * resabs)
 
 
-def _owned(f, members):
-    """f as a function of the points alone, passing on `members`, the member
-    index of each point; f itself when members is None (f then takes the
-    points alone)."""
-    return f if members is None else lambda xs: f(xs, members)
-
-
 class _Member:
     """Running state of one integral of a family: the value and error sums,
     the evaluations spent, and the heap of refinable panels."""
@@ -185,42 +177,19 @@ class _Member:
     __slots__ = ("val", "err", "evals", "seq", "heap", "thinned")
 
 
-def integrate_family(
-    f,
-    intervals,
-    tol: float = 1e-10,
-    *,
-    max_depth: int = _MAX_DEPTH,
-    max_evals: int = 10_000_000,
-) -> list[QuadratureResult]:
+def _integrate_family(f, intervals, tol: float, max_depth: int,
+                      max_evals: int) -> list[QuadratureResult]:
     """Adaptive integrals of x -> f(x, m) over the m-th of `intervals`, all
     advanced in lock-step; one result per member.
 
     `intervals` holds one (lo, hi, breakpoints) per member: a finite
-    interval and the interior points that seed its subdivision (kinks and
-    known feature scales go there).  f(xs, members) gets a 1-D array of
-    points and the member index of each point (an int array of the same
-    shape), and must return one value per point, or a ValueError is raised.
-
-    Each member refines the panels with the worst embedded error estimates
-    until its summed estimate satisfies abs_error <= tol * max(1, |value|),
-    its panels reach the depth cap of `max_depth` bisections, or it has
-    spent `max_evals` integrand points.  When that budget cannot cover the
-    panels its breakpoints make, at most max_evals // 15 panels (at least
-    one) are kept by taking every k-th breakpoint, and the member is
-    flagged unconverged.  The module docstring gives the order of the
-    integrand calls.
+    interval and the interior points that seed its subdivision.
+    f(xs, members) gets a 1-D array of points and the member index of each
+    point (an int array of the same shape), and must return one value per
+    point.  Each member follows the rules of `integrate_adaptive` with its
+    own budget of `max_evals` points; the module docstring gives the order
+    of the integrand calls.
     """
-    return _drive(f, intervals, tol, max_depth, max_evals, True)
-
-
-def _drive(f, intervals, tol: float, max_depth: int, max_evals: int,
-           with_members: bool) -> list[QuadratureResult]:
-    """The driver of `integrate_family`; f takes the points alone, with no
-    member indices, unless `with_members`.  `integrate_adaptive` passes its
-    integrand as it is: a wrapper that drops the indices, and the indices
-    themselves, would cost a one-member call a few microseconds, about 2%
-    of a typical call."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     cap = max(max_evals // 15, 1)
@@ -245,16 +214,13 @@ def _drive(f, intervals, tol: float, max_depth: int, max_evals: int,
         return []
 
     sizes = [x.size for x in lefts]
-    owners = None  # the member of each seed node
-    if len(members) == 1:
+    if len(members) == 1:  # no copies: about 3 us of a 50 us one-member call
         a, b = lefts[0], rights[0]
-        if with_members:
-            owners = np.zeros(15 * a.size, dtype=np.intp)
+        owners = np.zeros(15 * a.size, dtype=np.intp)  # the member of each seed node
     else:
-        a, b = np.concatenate(lefts), np.concatenate(rights)
-        if with_members:
-            owners = np.repeat(np.arange(len(members)), [15 * n for n in sizes])
-    chunks = [_gk15(_owned(f, None if owners is None else owners[15 * i:15 * (i + PANEL_CHUNK)]),
+        a, b = np.concatenate(lefts + rights).reshape(2, -1)
+        owners = np.arange(len(members)).repeat([15 * n for n in sizes])
+    chunks = [_gk15(lambda xs: f(xs, owners[15 * i:15 * (i + PANEL_CHUNK)]),
                     a[i:i + PANEL_CHUNK], b[i:i + PANEL_CHUNK])
               for i in range(0, a.size, PANEL_CHUNK)]
     vals = np.concatenate([v for v, _ in chunks])
@@ -294,8 +260,8 @@ def _drive(f, intervals, tol: float, max_depth: int, max_evals: int,
         for i in range(0, len(picked), PANEL_CHUNK):
             batch = picked[i:i + PANEL_CHUNK]
             ends = np.array([p[2:5] for p in batch])  # (a, mid, b) per parent
-            owners = np.repeat([p[1] for p in batch], 30) if with_members else None
-            halves, half_errs = _gk15(_owned(f, owners), ends[:, :2], ends[:, 1:])
+            owners = np.array([p[1] for p in batch]).repeat(30)
+            halves, half_errs = _gk15(lambda xs: f(xs, owners), ends[:, :2], ends[:, 1:])
             for (member, _, lo, mid, hi, val, err, depth), (v1, v2), (e1, e2) in zip(
                     batch, halves.tolist(), half_errs.tolist()):
                 member.evals += 30
@@ -322,20 +288,21 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive panel-bisection integral of f over the finite interval [lo, hi].
 
-    The one-member call of `integrate_family`: refines the interval with the
-    worst embedded error estimates until the summed estimate satisfies
-    abs_error <= tol * max(1, |result|), a depth cap of `max_depth`
-    bisections, or the evaluation budget.  `breakpoints` seeds the initial
-    subdivision (interior points; kinks and known feature scales go here).
-    When the budget cannot cover the panels they make, at most
-    max_evals // 15 panels (at least one) are kept by taking every k-th
-    breakpoint, and the result is flagged unconverged.  Each round
+    The one-member call of the module's family driver: refines the
+    interval with the worst embedded error estimates until the summed
+    estimate satisfies abs_error <= tol * max(1, |result|), a depth cap of
+    `max_depth` bisections, or the evaluation budget.  `breakpoints` seeds
+    the initial subdivision (interior points; kinks and known feature
+    scales go here).  When the budget cannot cover the panels they make,
+    at most max_evals // 15 panels (at least one) are kept by taking every
+    k-th breakpoint, and the result is flagged unconverged.  Each round
     bisects the fewest worst panels whose error estimates cover the excess
     over the tolerance, at most PANEL_CHUNK, in one integrand call.  The
     integrand must be vectorized: called on an array of points it returns
     an array of the same shape, or a ValueError is raised.
     """
-    return _drive(f, [(lo, hi, breakpoints)], tol, max_depth, max_evals, False)[0]
+    return _integrate_family(lambda xs, _: f(xs), [(lo, hi, breakpoints)], tol, max_depth,
+                             max_evals)[0]
 
 
 def _seed_count(hi: float, width: float) -> int:
@@ -372,7 +339,7 @@ def integrate_periodic_tails(
     max_evals: int = 10_000_000,
 ) -> list[QuadratureResult]:
     """(2/pi) * int_0^inf g(t, m)/t^2 dt for each member m of a family of
-    periodic integrands, in one `integrate_family` call.
+    periodic integrands, advanced in lock-step as one family.
 
     g(ts, members) is called as a family integrand is; t -> g(t, m) must
     meet the preconditions of `integrate_khinchin_tail` and be periodic
@@ -410,7 +377,8 @@ def integrate_periodic_tails(
     # within tol of the raw integral is within tol after the factor 2/pi
     return [QuadratureResult(two_over_pi * res.value, two_over_pi * res.abs_error,
                              res.evaluations, res.converged and n <= panels)
-            for res, n in zip(_drive(weighted, spans, tol, _MAX_DEPTH, max_evals, True), seeds)]
+            for res, n in zip(_integrate_family(weighted, spans, tol, _MAX_DEPTH, max_evals),
+                                  seeds)]
 
 
 def integrate_khinchin_tail(

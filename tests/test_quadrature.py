@@ -13,9 +13,10 @@ from khinchin_lab.quadrature import (
     _GAUSS_W,
     _KRONROD_W,
     _KRONROD_X,
+    _MAX_DEPTH,
     _gk15,
+    _integrate_family,
     integrate_adaptive,
-    integrate_family,
     integrate_khinchin_tail,
     integrate_periodic_tails,
 )
@@ -168,12 +169,13 @@ def test_family_integrand_sees_each_points_member():
         calls.append(members.copy())
         return (members + 1.0) * np.ones_like(x)
 
-    res = integrate_family(f, [(0.0, 1.0, ()), (0.0, 2.0, (0.5, 1.0)), (1.0, 4.0, ())])
+    res = _integrate_family(f, [(0.0, 1.0, ()), (0.0, 2.0, (0.5, 1.0)), (1.0, 4.0, ())],
+                            1e-10, _MAX_DEPTH, 10_000)
     assert [r.value for r in res] == pytest.approx([1.0, 4.0, 9.0], rel=1e-14)
     assert [r.evaluations for r in res] == [15, 45, 15]
     assert len(calls) == 1  # the seed panels of every member in one call
     assert calls[0].tolist() == [0] * 15 + [1] * 45 + [2] * 15
-    assert integrate_family(f, []) == []
+    assert _integrate_family(f, [], 1e-10, _MAX_DEPTH, 10_000) == []
 
 
 def test_family_members_match_one_member_calls():
@@ -192,7 +194,7 @@ def test_family_members_match_one_member_calls():
         assert np.all(np.diff(members) >= 0)  # grouped by member, in order
         return f(x, members)
 
-    family = integrate_family(recording, intervals, tol=1e-9, max_evals=13_700)
+    family = _integrate_family(recording, intervals, 1e-9, _MAX_DEPTH, 13_700)
     assert len(sizes) > 1 and all(size % 30 == 0 and size <= 30 * PANEL_CHUNK
                                   for size in sizes[1:])
     assert sum(sizes) == sum(r.evaluations for r in family)
