@@ -54,6 +54,7 @@ __all__ = [
     "l1_l2_verdict",
     "power_charfn_period",
     "product_charfn_period",
+    "product_charfn_period_degree",
     "solve_critical_exponent",
     "two_weight_threshold",
     "verify_charfn_power_floor",
@@ -62,6 +63,8 @@ __all__ = [
 
 #: cap on the entries of one sin(outer(t, frequencies / 2)) block in CharFn
 CHARFN_BLOCK = 1 << 16
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -119,20 +122,35 @@ def _all_rational(xs) -> bool:
     return all(isinstance(x, Rational) and not isinstance(x, bool) for x in xs)
 
 
-def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
-    """Common period of t -> prod_j charfn(a_j t), or None if a weight or
-    support value is not rational."""
+def product_charfn_period_degree(law: SymmetricAtomLaw, weights) -> tuple[float, int] | None:
+    """Common period P of t -> prod_j charfn(a_j t) and its degree K as a
+    trigonometric polynomial in units of 2 pi/P, or None if a weight or
+    support value is not rational (or no frequency is positive).
+
+    The frequencies |a_j| v share the gcd omega = gcd(|a|) gcd(v), where
+    the weights share gcd(numerators over one denominator) / that
+    denominator; P = 2 pi/omega, and the top frequency
+    sum_j |a_j| max(v) is K omega, K = sum_j |a_j| max(v) / (gcd(|a|) gcd(v))
+    in exact integers.  Zero weights drop out.
+    """
     if not (law.is_rational and _all_rational(weights)):
         return None
     values, _ = law._positive_grid()
     rates = [a for a in weights if a != 0]
     if not (values and rates):
         return None
-    # the frequencies |a| v share the gcd gcd(|a|) gcd(v), and the weights
-    # share gcd(numerators over one denominator) / that denominator
     den = math.lcm(*(a.denominator for a in rates))
-    num = math.gcd(*(a.numerator * (den // a.denominator) for a in rates))
-    return float(2 * math.pi / Fraction(num * math.gcd(*values), den * law._scale))
+    nums = [abs(a.numerator) * (den // a.denominator) for a in rates]
+    num, gv = math.gcd(*nums), math.gcd(*values)
+    return (float(2 * math.pi / Fraction(num * gv, den * law._scale)),
+            sum(nums) // num * (max(values) // gv))
+
+
+def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
+    """Common period of t -> prod_j charfn(a_j t), or None if a weight or
+    support value is not rational: the period of `product_charfn_period_degree`."""
+    periodic = product_charfn_period_degree(law, weights)
+    return None if periodic is None else periodic[0]
 
 
 def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
@@ -153,16 +171,38 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
                               sum_law: SymmetricAtomLaw | None = None) -> QuadratureResult:
     """E|sum_j a_j Y_j| through the characteristic-function integral.
 
-    With rational support and weights the integrand is periodic and the
-    whole half-line folds onto half a period.  Without a period, or when
-    its half needs more than quadrature.SEED_CAP seed panels, the tail past
-    the cut T comes from integration by parts with M = P(S = 0) and
-    K = E[|S|^-1; S != 0] of the sum S.  The law of S is `sum_law` when
-    given (it must be convolve_weighted([law] * n, weights)), else it is
-    built here, once and only when that route runs; convolve_weighted's
-    ValueError past its support guard then propagates.  Weights of equal
-    absolute value share one characteristic-function evaluation per
-    integrand call, raised to the power of their count.
+    With rational support and weights, g(t) = 1 - prod_j charfn(a_j t) is a
+    trigonometric polynomial of period P and degree K
+    (`product_charfn_period_degree`), and the exact periodic sum of
+    `quadrature.integrate_khinchin_tail` takes the integral from its
+    ceil(K/2) nodes; the result's abs_error then bounds the rounding, not a
+    quadrature error.  Without a period, or when ceil(K/2) passes
+    quadrature.NODE_CAP or `max_evals`, the tail past the cut T comes from
+    integration by parts with M = P(S = 0) and K = E[|S|^-1; S != 0] of the
+    sum S.  The law of S is `sum_law` when given (it must be
+    convolve_weighted([law] * n, weights)), else it is built here, once and
+    only when that route runs; convolve_weighted's ValueError past its
+    support guard then propagates.  Weights of equal absolute value share
+    one characteristic-function evaluation per integrand call, raised to
+    the power of their count.
+
+    The exact sum needs the slope s of g's rounding: at a node t within 6u
+    of the exact one (u = eps/2), g returns a value within s t of g(t).
+    Here s = (64 + m + 2G) u A, with m the positive support values of Y, G
+    the groups of equal |a_j| and A = E|Y| sum_j |a_j|.  To first order,
+    with sin, expm1, log1p and the power within 4 ulp (8u):
+    - each argument a_j v t/2 is off by 10u (6u from the node; float(a_j),
+      a_j t, v/scale and their product one rounding each), and sin^2 is
+      1-Lipschitz, so h_j = 1 - charfn(a_j t) = sum_v 4 m_v sin^2(a_j v t/2)
+      moves by at most 10u |a_j| t E|Y|; sin (16u once squared), the
+      square, the masses and a dot of m nonnegative terms add (18 + m)u h_j,
+      and h_j <= |a_j| t E|Y| since 1 - cos x <= |x|;
+    - a group of k equal |a_j| maps h to r = 1 - (1 - h)^k, whose slope is
+      at most k and r <= k h; expm1 and log1p (or 1 - h and the power)
+      add at most 26u k h;
+    - the running product and sum over the G groups add (2G + 2)u sum r,
+      and g has slope at most 1 in each r.
+    With sum over groups of k h <= A t: s <= (56 + m + 2G) u A, rounded up.
     """
     if len(weights) == 0:
         raise ValueError("need at least one weight")
@@ -172,6 +212,7 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
     groups: dict[float, list] = {}  # |a_j| -> [its first weight, count]
     for aj in a:
         groups.setdefault(abs(aj), [aj, 0])[1] += 1
+    total = sum(abs(x) for x in a)
 
     def g(ts):
         # 1 - prod_j (1 - h_j) = sum_j h_j prod_{i<j} (1 - h_i), h_j = 1 - phi(a_j t),
@@ -199,11 +240,15 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
         k = float(s_law.masses_float()[nonzero] @ (1.0 / np.abs(values[nonzero])))
         return float(s_law.zero_mass), k, s_law.merge_shift
 
+    period, degree = product_charfn_period_degree(law, weights) or (None, None)
+    mean_y = float(phi._m4 @ phi._half_v)  # E|Y| = 2 sum_v m_v v
     return integrate_khinchin_tail(
         g,
-        period_hint=product_charfn_period(law, weights),
+        period_hint=period,
         tol=tol,
-        rate_hint=sum(abs(x) for x in a) * v_max,
+        degree=degree,
+        error_slope=(64 + len(phi.frequencies) + 2 * len(groups)) * 0.5 * _EPS * total * mean_y,
+        rate_hint=total * v_max,
         bohr=bohr,
         max_evals=max_evals,
     )

@@ -10,7 +10,7 @@ by a heuristic; it is not a proven bound on the error.
 origin, that arise from characteristic-function representations of first
 absolute moments (Haagerup, "The best constants in the Khintchine
 inequality", Studia Math. 70 (1981)); `integrate_periodic_tails` runs its
-periodic route for a family of periodic g at once.
+Gauss-Kronrod periodic route for a family of periodic g at once.
 
 The integrand of a family receives the points and each point's member
 index, and sees the points grouped by member in increasing member order.
@@ -33,18 +33,26 @@ seed panel's value and error estimate can move in the last bits with
 the panels that share its chunk.  Each bisection sums its two halves as
 a block of its own, as a driver that bisects one panel per call does.
 
-The semi-infinite routine integrates from t = 0 by one of two routes, each
-one finite integral with a closed-form remainder; the integrand is bounded
-at 0 and no Gauss-Kronrod node touches an endpoint, so the origin needs no
-special zone.
-- Periodic g, with period P (laws with rational support and commensurable
-  rational weights): g is even, so the whole line folds onto half a period,
-  sum_{k in Z} (u + kP)^(-2) = (pi/P)^2 csc^2(pi u/P), and
-  int_0^inf g/t^2 = int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du with no
-  truncation error.
-- g = 1 - psi with psi(t) = E cos(tS) for a known finite law S: with
-  M = P(S = 0) and K = E[|S|^-1; S != 0], integration by parts gives
-  int_T^inf g/t^2 = (1 - M)/T - R with |R| <= 2K/T^2, since the
+The semi-infinite routine integrates from t = 0 by one of three routes,
+each with no truncation error or a closed-form remainder; the integrand is
+bounded at 0 and no node touches an endpoint, so the origin needs no
+special zone.  The first two rest on one fold: for g even and periodic
+with period P, sum_{k in Z} (u + kP)^(-2) = (pi/P)^2 csc^2(pi u/P) gives
+int_0^inf g/t^2 = int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du.
+- Exact periodic sum, for a trigonometric polynomial g of known degree K
+  in units of 2 pi/P (a product of characteristic functions under
+  commensurable rational weights).  Then g(0) = 0 makes
+  g(u) csc^2(pi u/P) a trigonometric polynomial of degree K - 1, which
+  the P-periodic midpoint rule with K nodes integrates exactly (Trefethen
+  and Weideman, "The exponentially convergent trapezoidal rule", SIAM
+  Rev. 56, 2014); evenness about P/2 leaves ceil(K/2) distinct nodes.
+  Its error is an a-priori bound on rounding, derived at `_periodic_sum`.
+- Gauss-Kronrod on the folded half period, for periodic g of no known
+  degree (the |phi|^s integrands; `integrate_periodic_tails` runs a
+  family of them in lock-step).
+- By parts, for g = 1 - psi with psi(t) = E cos(tS) for a known finite law
+  S: with M = P(S = 0) and K = E[|S|^-1; S != 0], integration by parts
+  gives int_T^inf g/t^2 = (1 - M)/T - R with |R| <= 2K/T^2, since the
   antiderivative of psi - M is bounded by K.  One integral over [0, T]
   with T = sqrt(2K/eps) leaves a tail error eps.
 Each route reports the achieved error, flagged as non-converged when the
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +76,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_UNIT = 0.5 * float(_EPS)  # unit roundoff u: a rounded operation is off by at most u relative
 _ROUNDOFF = 50.0 * _EPS  # QUADPACK's floor on a panel's error estimate, per unit resabs
 _ZERO = np.zeros(1)
 
@@ -77,9 +87,12 @@ _MAX_DEPTH = 60
 #: each) per refinement call, and the most panels one member gives up in a round
 PANEL_CHUNK = 128
 
-#: most seed panels the by-parts tail lays over [0, T]; a period whose half
-#: needs more goes by parts when the caller gives `bohr`
+#: most seed panels the by-parts tail lays over [0, T]
 SEED_CAP = 20_000
+
+#: most nodes of the exact periodic sum, the points of SEED_CAP seed panels;
+#: a degree that needs more goes by parts
+NODE_CAP = 15 * SEED_CAP
 
 
 class QuadratureError(RuntimeError):
@@ -92,9 +105,11 @@ class QuadratureResult:
 
     `abs_error` estimates |value - true integral| by QUADPACK's heuristic
     (plus the truncation terms of the tail scheme); it is not a proven
-    bound.  `evaluations` counts integrand points;
+    bound, save on the exact periodic route of `integrate_khinchin_tail`,
+    where it bounds the rounding.  `evaluations` counts integrand points;
     `converged` is False when a depth or budget cap stopped refinement
-    before the tolerance was met (the value and the larger error are still
+    before the tolerance was met, or when the rounding bound of the exact
+    periodic route exceeds it (the value and the larger error are still
     reported).  `tail` is (T, M, K) when `integrate_khinchin_tail` cut the
     integral at T by integration by parts, and None otherwise.
     """
@@ -381,11 +396,62 @@ def integrate_periodic_tails(
                                   seeds)]
 
 
+def _periodic_sum(g, period: float, degree: int, error_slope: float) -> tuple[float, float]:
+    """(2/pi) int_0^inf g(t)/t^2 dt by the exact periodic midpoint rule, for
+    g a trigonometric polynomial of degree K = `degree` in units of 2 pi/P,
+    P = `period`, with g(0) = 0; returns the value and a bound on its rounding.
+
+    With theta_j = pi (j + 1/2)/K and nodes t_j = theta_j P/pi, the K-node
+    midpoint rule over one period of the folded integrand is exact, and
+    t_{K-1-j} = P - t_j carries the same term, so with n = ceil(K/2)
+
+        I = (pi/(P K)) sum_{j<K} g(t_j) csc^2 theta_j
+          = (2 pi/(P K)) sum_{j<n} mu_j g(t_j) csc^2 theta_j,
+
+    mu_j = 1 save mu = 1/2 on the node theta = pi/2 of an odd K.
+
+    The bound, to first order in the unit roundoff u = eps/2, with the
+    constants rounded up to cover the higher orders.  P is taken within 4u
+    of the true period (float(2 pi/omega) rounds three times), and sin
+    within 4 ulp, 8u, of the true sine.
+    - g: the computed node is within 6u of t_j (4u from P, one rounding
+      each for P/K and its multiple).  The caller vouches that g there
+      returns a value within s t_j of g(t_j), s = `error_slope`.  Weighted,
+      that is (2 pi/(P K)) sum_j mu_j csc^2(theta_j) s t_j
+      = (2 s/K) sum_j mu_j theta_j csc^2 theta_j, and sin theta >= 2 theta/pi
+      on [0, pi/2] bounds it by (s pi/2) sum_{j<n} 1/(j + 1/2)
+      <= (s pi/2)(2 + ln n), the sum bounded by the convexity of 1/x.
+    - csc^2: theta_j comes off by 3u (fl(pi), /K, times j + 1/2), so sin
+      theta_j by 3u theta cot theta + 8u <= 11u, its reciprocal by 12u and
+      the square by 25u; the product with g(t_j) makes each term tau_j good
+      to 26u.
+    - the sum: math.fsum rounds once, u |sum|.
+    - the prefactor 2 pi/(P K): fl(pi), /P and /K round once each and P is
+      off by 4u, so 7u, and its product with the sum one more: with fsum,
+      9u |value|.
+    So |value - I| <= s (pi/2)(2 + ln n) + 32u (2 pi/(P K)) sum_j |tau_j|
+    + 16u |value|.
+    """
+    n = (degree + 1) // 2
+    halves = np.arange(n) + 0.5
+    csc = 1.0 / np.sin(halves * (math.pi / degree))
+    terms = _evaluate(g, halves * (period / degree)) * (csc * csc)
+    if degree % 2:
+        terms[-1] *= 0.5  # the node pi/2 is its own mirror image
+    scale = 2.0 * math.pi / period / degree
+    value = scale * math.fsum(terms.tolist())
+    abs_error = (0.5 * math.pi * (2.0 + math.log(n)) * error_slope
+                 + _UNIT * (32.0 * scale * float(np.abs(terms).sum()) + 16.0 * abs(value)))
+    return value, abs_error
+
+
 def integrate_khinchin_tail(
     g,
     period_hint: float | None = None,
     tol: float = 1e-8,
     *,
+    degree: int | None = None,
+    error_slope: float = 0.0,
     rate_hint: float | None = None,
     bohr=None,
     max_evals: int = 10_000_000,
@@ -395,56 +461,80 @@ def integrate_khinchin_tail(
     Preconditions on g: even, bounded, g(0) = 0 with g(t) = O(t^2) at the
     origin (true for g(t) = 1 - prod_j phi_j(a_j t) built from
     characteristic functions of symmetric laws, and for the |phi|^s
-    variants).  Both routes start at t = 0, so g must keep its relative
+    variants).  Every route starts at t = 0, so g must keep its relative
     accuracy at small t: build it from 1 - phi, not from phi.
 
     `period_hint` is the period P of g; pass it only when g is genuinely
     periodic (rational-support laws under rational weights; never float
-    weights).  The integral is then the one-member call of
-    `integrate_periodic_tails`: int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du,
-    exactly, on seed panels of width pi/rate up to the evaluation budget;
-    a half period that needs more panels than the budget allows is seeded
-    with what it allows and the result is flagged unconverged.
+    weights).  Three routes (the module docstring gives their mathematics):
 
-    `bohr` = (M, K, shift), or a function returning it that runs only on
-    this route, describes g = 1 - psi with psi(t) = E cos(tS) for a finite
-    law S: M = P(S = 0), the Bohr mean of psi, and K = E[|S|^-1; S != 0],
-    read from a law whose atoms lie within `shift` of those of S (0 when
-    exact).  It is used without a period, and in place of one whose half
-    period needs more than SEED_CAP seed panels.  One integral runs over
-    [0, T] with T = sqrt(2K/eps), eps = 0.2 pi tol, and the tail adds
-    (1 - M)/T; the error is (2/pi) (quadrature error + 2K/T^2) + shift,
-    where moving atoms by at most `shift` moves the tail term by at most
-    (pi/2) shift.  A budget too small to seed [0, T] at panel width
-    pi/rate shrinks T to what it covers, charges 2K/T^2 there and flags
-    the result unconverged.  The result's `tail` is (T, M, K).
+    - With `degree` K as well, g is a trigonometric polynomial of degree K
+      in units of 2 pi/P, and the exact periodic sum takes its ceil(K/2)
+      nodes, when they number at most NODE_CAP and at most `max_evals`.
+      Its `abs_error` bounds the rounding (see `_periodic_sum`), given the
+      caller's `error_slope` s: g, called at a node t within 6u of the
+      exact one (u = eps/2), returns a value within s t of the exact g(t);
+      `converged` is abs_error <= tol * max(1, |value|).
+      Past either cap the integral goes by parts, which needs `bohr`; a
+      ValueError is raised without it.  No sum is taken over fewer nodes
+      than the degree needs.
+    - Without `degree`, the periodic g is the one-member call of
+      `integrate_periodic_tails`: Gauss-Kronrod on
+      int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du with seed panels of width
+      pi/rate up to the evaluation budget; a half period that needs more
+      panels than the budget allows is seeded with what it allows and the
+      result is flagged unconverged.
+    - By parts, without a period or past the exact sum's caps.  `bohr` =
+      (M, K, shift), or a function returning it that runs only on this
+      route, describes g = 1 - psi with psi(t) = E cos(tS) for a finite law
+      S: M = P(S = 0), the Bohr mean of psi, and K = E[|S|^-1; S != 0],
+      read from a law whose atoms lie within `shift` of those of S (0 when
+      exact).  One integral runs over [0, T] with T = sqrt(2K/eps),
+      eps = 0.2 pi tol, and the tail adds (1 - M)/T; the error is
+      (2/pi) (quadrature error + 2K/T^2) + shift, where moving atoms by at
+      most `shift` moves the tail term by at most (pi/2) shift.  A budget
+      too small to seed [0, T] at panel width pi/rate shrinks T to what it
+      covers, charges 2K/T^2 there and flags the result unconverged.  The
+      result's `tail` is (T, M, K).
 
     With neither `period_hint` nor `bohr` a ValueError is raised.
 
     `rate_hint` bounds |d/dt| of the oscillatory part and seeds the
-    subdivision with panels of width pi/rate, so narrow features are not
-    missed by the panel rule.  `max_evals` caps the integrand points; a run
-    that exhausts it returns what it integrated (plus the tail term at the
-    T reached) flagged unconverged.
+    Gauss-Kronrod subdivision with panels of width pi/rate, so narrow
+    features are not missed by the panel rule.  `max_evals` caps the
+    integrand points; a Gauss-Kronrod run that exhausts it returns what it
+    integrated (plus the tail term at the T reached) flagged unconverged.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if period_hint is None and bohr is None:
         raise ValueError("the tail needs period_hint (g periodic) or bohr "
                          "(g = 1 - E cos(tS) for a finite law S)")
-    seed_width = _seed_width(rate_hint)
+    if degree is not None:
+        if period_hint is None:
+            raise ValueError("degree needs period_hint")
+        degree = operator.index(degree)
+        if degree < 1:
+            raise ValueError("degree must be a positive integer")
 
-    # Wider than pi/rate, seed panels can step over the integrand's features
-    # while the panel rule agrees with itself on them; with `bohr` known, a
-    # half period past SEED_CAP seeds goes by parts.
-    if period_hint is not None and (
-            bohr is None or _seed_count(0.5 * _period(period_hint), seed_width) <= SEED_CAP):
-        return integrate_periodic_tails(lambda ts, _: g(ts), [period_hint], tol,
-                                        rate_hints=[rate_hint], max_evals=max_evals)[0]
+    if period_hint is not None:
+        period = _period(period_hint)
+        if degree is None:
+            return integrate_periodic_tails(lambda ts, _: g(ts), [period], tol,
+                                            rate_hints=[rate_hint], max_evals=max_evals)[0]
+        nodes = (degree + 1) // 2
+        if nodes <= min(NODE_CAP, max_evals):
+            value, abs_error = _periodic_sum(g, period, degree, error_slope)
+            return QuadratureResult(value, abs_error, nodes,
+                                    abs_error <= tol * max(1.0, abs(value)))
+        if bohr is None:
+            raise ValueError(f"the exact periodic sum needs {nodes} nodes, past "
+                             f"min(NODE_CAP, max_evals); going by parts needs bohr")
 
     def f(ts):
         return _evaluate(g, ts) / ts**2
 
+    seed_width = _seed_width(rate_hint)
     mean, k, shift = (float(x) for x in (bohr() if callable(bohr) else bohr))
     # (2/pi) 2K/T^2 = 0.4 tol, and the quadrature's 0.5 tol max(1, raw)
     # is at most 0.5 tol max(1, value) after the factor 2/pi

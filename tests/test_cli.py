@@ -254,7 +254,8 @@ def test_haagerup_witness_shows_the_by_parts_tail(capsys, monkeypatch):
 
 
 def test_haagerup_witness_shows_unconverged_integral(capsys):
-    # tol 1e-15 is out of reach within 5000 evaluations
+    # the exact periodic sum takes 34 nodes, but its rounding bound, near
+    # 1e-13, is above tol 1e-15
     code, out, err = run_cli(capsys, "haagerup", "--weights", "1,1/3,2/7",
                              "--rho0", "1/2", "--L", "2", "--tol", "1e-15",
                              "--budget", "5000")
@@ -450,6 +451,43 @@ def test_main_leaves_no_garbage_cycles(argv):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _weight_texts():
+    rational = st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 12))
+    floats = st.sampled_from(["0.5", "1.4142135623730951", "0.3", "-2.25", "1e-3", "0.0"])
+    return st.lists(rational | floats | st.sampled_from(["1", "-1", "0", "2/53"]),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weights=_weight_texts(),
+       rho0=st.sampled_from(["0", "1/3", "1/2", "3/4", "0.25"]),
+       L=st.integers(1, 3),
+       tol=st.sampled_from(["1e-4", "1e-8", "1e-10", "1e-12", "1e-15"]),
+       budget=st.sampled_from([None, "1", "15", "40", "1000", "100000"]))
+def test_haagerup_runs_are_bounded(weights, rho0, L, tol, budget):
+    if budget is None and tol in ("1e-12", "1e-15"):
+        budget = "100000"  # an aperiodic tail this tight takes seconds uncapped
+    argv = ["haagerup", "--weights", ",".join(weights), "--rho0", rho0, "--L", str(L),
+            "--tol", tol] + ([] if budget is None else ["--budget", budget])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # any exception fails the property: no traceback
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:  # input or guard: a message and no report
+        assert out == "" and err.startswith("error: "), argv
+        return
+    report = json.loads(out)
+    if code == 1:  # only a verdict that failed
+        assert report["pass"] is False and err == "failed claims: abs-moment-dual-route\n"
+        return
+    assert code == 0 and report["pass"] is True and err == "", argv
+    w = report["witness"]
+    enum = float(Fraction(w["enumeration"]))
+    # printed to 12 significant digits, each float is off by up to 5e-12 relative
+    slack = 5e-12 * (abs(w["integral"]) + abs(enum))
+    assert abs(w["integral"] - enum) <= w["integral_err"] * (1 + 1e-11) + slack, argv
 
 
 _OPTIONS = ["--rho0", "--L", "--p", "--weights", "--n", "--trials", "--seed", "--tol",

@@ -30,6 +30,7 @@ from khinchin_lab.haagerup import (
     l1_l2_verdict,
     power_charfn_period,
     product_charfn_period,
+    product_charfn_period_degree,
     solve_critical_exponent,
     two_weight_threshold,
     verify_charfn_power_floor,
@@ -136,9 +137,11 @@ def test_budget_caps_both_tail_routes():
     law = make_step_law(StepLawParams(Fraction(1, 2), 2))
     w = [Fraction(1), Fraction(1, 3), Fraction(2, 7)]
     exact = float(oracles.enum_abs_moment(w, [oracles.step_atoms(Fraction(1, 2), 2)] * 3, 1))
-    assert first_abs_moment_integral(w, law).evaluations > 500
-    res = first_abs_moment_integral(w, law, max_evals=500)  # periodic
-    assert res.evaluations <= 500 and not res.converged
+    # degree (21 + 7 + 6) * 2 = 68: the exact periodic sum takes 34 nodes
+    assert first_abs_moment_integral(w, law).evaluations == 34
+    res = first_abs_moment_integral(w, law, max_evals=30)  # below them: by parts
+    assert res.tail is not None
+    assert res.evaluations <= 30 and not res.converged
     assert abs(res.value - exact) <= res.abs_error
     r2 = [1.0, math.sqrt(2.0)]  # aperiodic
     exact = float(first_abs_moment(convolve_weighted([HALF] * 2, r2)))
@@ -167,6 +170,144 @@ def test_periodic_tail_within_its_error(rho0, L, weights):
     res = first_abs_moment_integral(weights, make_step_law(StepLawParams(rho0, L)), tol=1e-8)
     assert res.tail is None  # the periodic route
     assert res.converged
+    assert abs(res.value - exact) <= res.abs_error
+
+
+# ---------------------------------------------------------------- exact periodic sum
+
+def _positive_atoms(law):
+    return [(v, m) for v, m in zip(law.values, law.masses) if v > 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from([COIN, HALF, make_step_law(StepLawParams(Fraction(1, 3), 3)),
+                            make_symmetric_law(Fraction(1, 5), {Fraction(3, 2): Fraction(1, 5),
+                                                                Fraction(9, 4): Fraction(1, 5)})]),
+       weights=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                        min_size=1, max_size=2),
+       copies=st.integers(0, 2))
+def test_degree_is_the_top_frequency(law, weights, copies):
+    # equal |weights|: the first one again, with either sign
+    weights = weights + [(-1) ** k * weights[0] for k in range(copies)]
+    atoms = list(zip(law.values, law.masses))
+    freqs = [abs(a) * v for a in weights for v, _ in _positive_atoms(law) if a != 0]
+    got = product_charfn_period_degree(law, weights)
+    if not freqs:
+        assert got is None
+        return
+    omega = oracles.rational_frequency_gcd(freqs)
+    # the top frequency of prod_j charfn(a_j t) is the largest |atom| of the sum
+    top = max(abs(s) for s in oracles.enum_distribution(weights, [atoms] * len(weights)))
+    assert (top / omega).denominator == 1
+    assert got == (oracles.product_charfn_period(law, weights), int(top / omega))
+    assert got[0] == product_charfn_period(law, weights)
+
+
+def test_exact_periodic_sum_counted_by_hand():
+    # weights 18/30, 20/30, 30/30, 15/30 share 1/30, and step(1/2, 2) has
+    # values 1 and 2: omega = 1/30 and K = (18 + 20 + 30 + 15) * 2 = 166
+    law = make_step_law(StepLawParams(Fraction(1, 2), 2))
+    w = [Fraction(3, 5), Fraction(2, 3), Fraction(1), Fraction(1, 2)]
+    assert product_charfn_period_degree(law, w) == (oracles.product_charfn_period(law, w), 166)
+    assert product_charfn_period(law, w) == pytest.approx(60 * math.pi, rel=1e-15)
+    res = first_abs_moment_integral(w, law)
+    assert res.evaluations == 83 and res.tail is None and res.converged
+    exact = float(oracles.enum_abs_moment(w, [oracles.step_atoms(Fraction(1, 2), 2)] * 4, 1))
+    assert abs(res.value - exact) <= res.abs_error
+
+
+def _mp_node_sum(law, weights, omega, degree):
+    """E|S| as the midpoint sum over the ceil(K/2) nodes of half a period, in
+    50-digit mpmath from the law's atoms and the weights as exact rationals."""
+    def mp(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(50):
+        atoms = [(mp(v), mp(m)) for v, m in _positive_atoms(law)]
+        zero, rates, w = mp(law.zero_mass), [mp(a) for a in weights], mp(omega)
+        total = mpmath.mpf(0)
+        for j in range((degree + 1) // 2):
+            theta = mpmath.pi * (2 * j + 1) / (2 * degree)
+            t = 2 * theta / w  # theta P / pi
+            prod = mpmath.mpf(1)
+            for a in rates:
+                prod *= zero + 2 * mpmath.fsum(m * mpmath.cos(a * v * t) for v, m in atoms)
+            term = (1 - prod) / mpmath.sin(theta) ** 2
+            total += term / 2 if 2 * j + 1 == degree else term
+        return w / degree * total
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho0=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]),
+       L=st.integers(1, 2),
+       weights=st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+                        .filter(lambda a: a != 0), min_size=1, max_size=3))
+def test_exact_periodic_sum_within_its_rounding_bound(rho0, L, weights):
+    law = make_step_law(StepLawParams(rho0, L))
+    exact = oracles.enum_abs_moment(weights, [oracles.step_atoms(rho0, L)] * len(weights), 1)
+    period, degree = product_charfn_period_degree(law, weights)
+    res = first_abs_moment_integral(weights, law, tol=1e-10)
+    assert res.tail is None and res.converged
+    assert res.evaluations == (degree + 1) // 2
+    assert abs(res.value - float(exact)) <= res.abs_error
+    with mpmath.workdps(50):
+        # the sum is exact, and the float sum is within its bound of it
+        nodes = _mp_node_sum(law, weights, oracles.rational_frequency_gcd(
+            [abs(a) * v for a in weights for v in range(1, L + 1)]), degree)
+        assert abs(nodes - mpmath.mpf(exact.numerator) / exact.denominator) < mpmath.mpf(10) ** -40
+        assert abs(mpmath.mpf(res.value) - nodes) <= res.abs_error
+
+
+def _fixed_point_node_sum(rho, nums, degree):
+    """K/omega times the node sum of `_mp_node_sum` for the law with mass rho
+    at 0 and (1 - rho)/2 at +-1 under weights n_i omega, in 200-bit fixed
+    point: cos(a_i t_j) = cos(pi n_i (2j + 1)/K) and sin(theta_j) advance by
+    one rotation per node, each seeded by 70-digit mpmath."""
+    bits = 200
+    one = 1 << bits
+
+    def unit(angle):
+        return [int(mpmath.floor(mpmath.cos(angle) * one)),
+                int(mpmath.floor(mpmath.sin(angle) * one))]
+
+    with mpmath.workdps(70):
+        points = [unit(mpmath.pi * n / degree) for n in nums] + [unit(mpmath.pi / (2 * degree))]
+        steps = [unit(2 * mpmath.pi * n / degree) for n in nums] + [unit(mpmath.pi / degree)]
+    zero = rho.numerator * one // rho.denominator
+    total = 0
+    for j in range((degree + 1) // 2):
+        prod = one
+        for c, _ in points[:-1]:
+            prod = prod * (zero + ((one - zero) * c >> bits)) >> bits
+        sin = points[-1][1]
+        term = ((one - prod) << 2 * bits) // (sin * sin)  # g csc^2, times one
+        total += term // 2 if 2 * j + 1 == degree else term
+        for point, (cs, sn) in zip(points, steps):
+            c, s = point
+            point[0], point[1] = (c * cs - s * sn) >> bits, (c * sn + s * cs) >> bits
+    return mpmath.mpf(total) / one
+
+
+def test_exact_periodic_sum_at_the_node_cap():
+    # weights 1 and 199999/400000 share omega = 1/400000: K = 599 999 takes
+    # ceil(K/2) = NODE_CAP nodes; one more in the degree goes by parts
+    w = [Fraction(1), Fraction(199_999, 400_000)]
+    assert product_charfn_period_degree(HALF, w)[1] == 599_999
+    exact = oracles.enum_abs_moment(w, [oracles.step_atoms(Fraction(1, 2), 1)] * 2, 1)
+    res = first_abs_moment_integral(w, HALF, tol=1e-10)
+    assert res.evaluations == quadrature.NODE_CAP and res.tail is None and res.converged
+    assert abs(res.value - float(exact)) <= res.abs_error
+    with mpmath.workdps(50):
+        nodes = _fixed_point_node_sum(Fraction(1, 2), (400_000, 199_999), 599_999) / 599_999 \
+            / 400_000
+        assert abs(nodes - mpmath.mpf(exact.numerator) / exact.denominator) < mpmath.mpf(10) ** -40
+        assert abs(mpmath.mpf(res.value) - nodes) <= res.abs_error
+    w = [Fraction(1), Fraction(200_000, 400_001)]
+    assert product_charfn_period_degree(HALF, w)[1] == 600_001
+    exact = float(oracles.enum_abs_moment(w, [oracles.step_atoms(Fraction(1, 2), 1)] * 2, 1))
+    res = first_abs_moment_integral(w, HALF)
+    assert res.tail is not None and res.converged
     assert abs(res.value - exact) <= res.abs_error
 
 

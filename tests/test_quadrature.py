@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from khinchin_lab import quadrature
 from khinchin_lab.exactprob import StepLawParams, make_step_law
 from khinchin_lab.haagerup import CHARFN_BLOCK, CharFn
 from khinchin_lab.quadrature import (
@@ -221,8 +222,8 @@ def test_periodic_tails_family_matches_one_member_tails():
                                       [2 * math.pi / k for k in ks], tol=1e-8,
                                       rate_hints=ks)
     for k, got in zip(ks, family):
-        solo = integrate_khinchin_tail(lambda t: 1.0 - np.cos(k * t), period_hint=2 * math.pi / k,
-                                       tol=1e-8, rate_hint=k)
+        solo, = integrate_periodic_tails(lambda t, _: 1.0 - np.cos(k * t), [2 * math.pi / k],
+                                         tol=1e-8, rate_hints=[k])
         assert got.converged and abs(got.value - k) < 2e-8 * k
         assert (got.evaluations, got.converged) == (solo.evaluations, solo.converged)
         assert got.value == pytest.approx(solo.value, rel=1e-14, abs=0.0)
@@ -230,6 +231,54 @@ def test_periodic_tails_family_matches_one_member_tails():
         integrate_periodic_tails(lambda t, m: t, [1.0, 2.0], rate_hints=[1.0])
     with pytest.raises(ValueError, match="period_hint"):
         integrate_periodic_tails(lambda t, m: t, [1.0, -2.0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40, 1001])
+def test_exact_periodic_sum_of_one_cosine(k):
+    # (2/pi) int (1 - cos(k t))/t^2 dt = k: degree k at period 2 pi.  At a
+    # node off by 6u, k t is off by 7u, which moves cos by 7u k t; cos and
+    # the subtraction add at most 10u, and k t >= pi at every node, so
+    # s = (7 + 10/pi) u k covers the rounding of g
+    calls = []
+
+    def g(t):
+        calls.append(t.size)
+        return 1.0 - np.cos(k * t)
+
+    res = integrate_khinchin_tail(g, 2 * math.pi, 1e-12, degree=k,
+                                  error_slope=(7 + 10 / math.pi) * 0.5 * EPS * k)
+    assert res.evaluations == (k + 1) // 2 == sum(calls) and len(calls) == 1
+    assert res.tail is None and res.converged
+    assert abs(res.value - k) <= res.abs_error <= 1e-12 * k
+
+
+def test_exact_periodic_sum_reports_its_rounding_bound():
+    # tol below the rounding bound: the sum is taken, flagged unconverged
+    res = integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), 2 * math.pi, 1e-17, degree=3,
+                                  error_slope=EPS)
+    assert res.evaluations == 2 and not res.converged
+    assert abs(res.value - 1.0) <= res.abs_error
+
+
+def test_exact_periodic_sum_past_its_caps(monkeypatch):
+    r2 = math.sqrt(2.0)
+    g = lambda t: 1.0 - np.cos(t) * np.cos(r2 * t)  # any g: only the route is checked
+    with pytest.raises(ValueError, match="needs bohr"):
+        integrate_khinchin_tail(g, 2 * math.pi, degree=41, max_evals=20)
+    res = integrate_khinchin_tail(g, 2 * math.pi, degree=41, max_evals=21, bohr=(0.0, r2, 0.0))
+    assert res.tail is None and res.evaluations == 21
+    res = integrate_khinchin_tail(g, 2 * math.pi, degree=41, max_evals=20, bohr=(0.0, r2, 0.0))
+    assert res.tail is not None and res.evaluations <= 20 and not res.converged
+    monkeypatch.setattr(quadrature, "NODE_CAP", 20)
+    res = integrate_khinchin_tail(g, 2 * math.pi, degree=41, bohr=(0.0, r2, 0.0))
+    assert res.tail is not None and res.converged
+    with pytest.raises(ValueError, match="degree needs period_hint"):
+        integrate_khinchin_tail(g, None, degree=3, bohr=(0.0, r2, 0.0))
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="positive integer"):
+            integrate_khinchin_tail(g, 2 * math.pi, degree=bad)
+    with pytest.raises(TypeError):
+        integrate_khinchin_tail(g, 2 * math.pi, degree=2.5)
 
 
 def test_charfn_blocks_bound_temporaries(monkeypatch):
