@@ -399,7 +399,8 @@ _COMMON = {
     "--format": ("format", ("json", "csv"), "json", "output format"),
     "--out": ("out", str, None, "output file instead of standard output"),
     "--budget": ("budget", int, None,
-                 "cap on integrand evaluations and on one convolution step's entries"),
+                 "cap on integrand evaluations and on one convolution step's entries; "
+                 "a Gauss-Kronrod route needs at least 15"),
 }
 _OWN = {
     "table1": {

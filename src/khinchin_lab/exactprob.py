@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -253,12 +252,6 @@ class SymmetricAtomLaw:
     def masses_float(self) -> np.ndarray:
         # int / int is correctly rounded, as float(Fraction(num, den)) is
         return np.array([num / self._den for num in self._nums.tolist()])
-
-    def mass_at(self, v) -> Fraction:
-        for value, m in self.atoms:
-            if value == v:
-                return m
-        return Fraction(0)
 
     def to_json(self) -> str:
         return law_to_json(self)
@@ -611,22 +604,14 @@ def _exact_moment(exact: Fraction) -> MomentValue:
 
 
 def ratio_root(num: int, den: int, p: int) -> float:
-    """(num / den)^(1/p) for integers num >= 0, den > 0 and p >= 1.
-
-    Through the float q = num / den while that is 0 or a normal float:
-    rounding 1/p moves q^(1/p) by up to |ln q| eps / 2p relative, beyond
-    the roundings of q and of the power.  Past the float range, or below
-    its normal range, the root comes from integers:
-    r = floor((num 2^(pe) / den)^(1/p)), with e the smallest shift >= 0
-    that gives r at least 64 bits, and the root is r 2^-e, rounded twice.
-    A root past the float range raises OverflowError.
+    """(num / den)^(1/p) for integers num >= 0, den > 0 and p >= 1, from
+    integers alone, so any size of num and den works: with
+    r = floor((num 2^(pe) / den)^(1/p)), e the smallest shift >= 0 that
+    gives r at least 64 bits, the root is r 2^-e, rounded twice (within
+    one ulp).  A root past the float range raises OverflowError.
     """
-    try:
-        quotient = num / den
-        if quotient >= sys.float_info.min or num == 0:
-            return quotient ** (1.0 / p)
-    except OverflowError:
-        pass
+    if num == 0:
+        return 0.0
     e = max(64 - (num.bit_length() - den.bit_length()) // p, 0)
     n = (num << (p * e)) // den
     # Newton's iteration for the floor of the p-th root falls monotonically
@@ -642,9 +627,8 @@ def ratio_root(num: int, den: int, p: int) -> float:
 
 def moment_root(m: MomentValue, p) -> float:
     """(E|S|^p)^(1/p) of a moment: the float value to the power 1/p, and for
-    an exact moment `ratio_root` of its rational, which keeps the same
-    float route while the moment is finite and goes on past the float
-    range."""
+    an exact moment `ratio_root` of its rational, which goes on past the
+    float range."""
     if m.exact is None:
         return m.value ** (1.0 / float(p))
     return ratio_root(m.exact.numerator, m.exact.denominator, int(p))

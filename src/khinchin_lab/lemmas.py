@@ -9,7 +9,9 @@ Three groups of tools:
   whose best multiplicative constant is 1;
 * the plus-part gap between the Gaussian and uniform-block second moments,
   with its closed-form slopes at integer-square breakpoints, the slope and
-  tangent tables, and the scaled endpoint function used for large blocks.
+  tangent tables, and the scaled endpoint function h(t) used for large
+  blocks, whose defining integral and its derivative are taken in closed
+  form through erf.
 """
 from __future__ import annotations
 
@@ -22,14 +24,7 @@ from numbers import Rational
 import numpy as np
 from scipy.special import erfc as _erfc_vec
 
-from .exactprob import (
-    GaussianRef,
-    StepLawParams,
-    _gaussian_plus_part,
-    make_step_law,
-    plus_part_second_moment,
-)
-from .quadrature import integrate_adaptive
+from .exactprob import _gaussian_plus_part
 from .reports import VerdictReport, sig12
 
 __all__ = [
@@ -281,21 +276,16 @@ def _sigma2(L: int) -> Fraction:
 
 def plus_part_gap(L: int, a) -> float:
     """Gaussian-minus-block gap f(a) = E (G^2 - a)_+ - E (X^2 - a)_+ where
-    G matches the block law's variance.  Nonnegativity of f on [0, L^2] is
-    the (x - a)_+ reduction of the convex dominance claim."""
-    if not (isinstance(L, int) and L >= 2):
-        raise ValueError(f"L must be an integer >= 2, got {L!r}")
-    af = float(a)
-    if af < 0:
-        raise ValueError("a must be nonnegative")
-    sigma = math.sqrt(float(_sigma2(L)))
-    block = make_step_law(StepLawParams(Fraction(0), L))
-    return float(plus_part_second_moment(GaussianRef(sigma), af)
-                 - float(plus_part_second_moment(block, af)))
+    X is uniform on {-L..-1, 1..L} and G matches its variance.
+    Nonnegativity of f on [0, L^2] is the (x - a)_+ reduction of the convex
+    dominance claim.  The one-threshold case of `plus_part_gap_grid`."""
+    return float(plus_part_gap_grid(L, [float(a)])[0])
 
 
 def plus_part_gap_grid(L: int, a_values: np.ndarray) -> np.ndarray:
-    """Vectorized plus_part_gap over an array of thresholds."""
+    """plus_part_gap over an array of thresholds: the Gaussian part in
+    closed form, and E (X^2 - a)_+ = sum_{k >= sqrt(a)} (k^2 - a) / L from
+    suffix sums of k^2."""
     if not (isinstance(L, int) and L >= 2):
         raise ValueError(f"L must be an integer >= 2, got {L!r}")
     a = np.asarray(a_values, dtype=float)
@@ -396,39 +386,27 @@ def endpoint_argument(L: int) -> Fraction:
     return Fraction(6 * L * L, (L + 1) * (2 * L + 1))
 
 
-def endpoint_gap(t, tol: float = 1e-10) -> float:
+def endpoint_gap(t) -> float:
     """h(t) = sqrt(2/pi) int_0^sqrt(t) (t - x^2) e^(-x^2/2) dx - (2/3) t.
 
     The scaled endpoint value of the smoothed gap: g(L^2)/sigma^2 = h(t(L)).
+    Integrating x^2 e^(-x^2/2) by parts gives the closed form
+    h(t) = (t - 1) erf(sqrt(t/2)) + sqrt(2t/pi) e^(-t/2) - (2/3) t.
     """
     tf = float(t)
     if tf < 0:
         raise ValueError("t must be nonnegative")
-    if tf == 0:
-        return 0.0
-    rt = math.sqrt(tf)
-
-    def integrand(xs):
-        return (tf - xs * xs) * np.exp(-0.5 * xs * xs)
-
-    res = integrate_adaptive(integrand, 0.0, rt, tol=tol).require_converged()
-    return math.sqrt(2.0 / math.pi) * res.value - (2.0 / 3.0) * tf
+    return ((tf - 1.0) * math.erf(math.sqrt(0.5 * tf))
+            + math.sqrt(2.0 * tf / math.pi) * math.exp(-0.5 * tf) - (2.0 / 3.0) * tf)
 
 
-def endpoint_gap_slope(t, tol: float = 1e-10) -> float:
-    """h'(t) = sqrt(2/pi) int_0^sqrt(t) e^(-x^2/2) dx - 2/3, increasing in t."""
+def endpoint_gap_slope(t) -> float:
+    """h'(t) = sqrt(2/pi) int_0^sqrt(t) e^(-x^2/2) dx - 2/3
+    = erf(sqrt(t/2)) - 2/3, increasing in t."""
     tf = float(t)
     if tf < 0:
         raise ValueError("t must be nonnegative")
-    if tf == 0:
-        return -2.0 / 3.0
-    rt = math.sqrt(tf)
-
-    def integrand(xs):
-        return np.exp(-0.5 * xs * xs)
-
-    res = integrate_adaptive(integrand, 0.0, rt, tol=tol).require_converged()
-    return math.sqrt(2.0 / math.pi) * res.value - 2.0 / 3.0
+    return math.erf(math.sqrt(0.5 * tf)) - 2.0 / 3.0
 
 
 _ENDPOINT_T0 = Fraction(49, 20)

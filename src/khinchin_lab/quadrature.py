@@ -4,13 +4,12 @@ One driver advances a family of finite integrals in lock-step with a
 globally adaptive Gauss-Kronrod (7, 15) rule and QUADPACK's embedded error
 estimate (Piessens et al., 1983).  That estimate scales |Kronrod - Gauss|
 by a heuristic; it is not a proven bound on the error.
-`integrate_adaptive` is its one-member call.
-`integrate_khinchin_tail` handles the semi-infinite integrals
+`integrate_adaptive` is its one-member call.  The semi-infinite integrals
 (2/pi) * int_0^inf g(t)/t^2 dt, with g even, bounded and O(t^2) at the
-origin, that arise from characteristic-function representations of first
+origin, arise from characteristic-function representations of first
 absolute moments (Haagerup, "The best constants in the Khintchine
-inequality", Studia Math. 70 (1981)); `integrate_periodic_tails` runs its
-Gauss-Kronrod periodic route for a family of periodic g at once.
+inequality", Studia Math. 70 (1981)); `integrate_khinchin_tail` takes one
+of them, and `integrate_periodic_tails` a family of periodic ones.
 
 The integrand of a family receives the points and each point's member
 index, and sees the points grouped by member in increasing member order.
@@ -25,34 +24,36 @@ of Shampine ("Vectorized adaptive quadrature in MATLAB", J. Comput.
 Appl. Math. 211, 2008).  A member's running sums take its bisections one
 by one, in the order its panels left its heap.  Each member keeps its
 own evaluation budget, which covers its seed panels too (past it, every
-k-th breakpoint is kept), its own depth cap and its own convergence
-flag, so it reports what it would alone, save the order of some sums.
+k-th breakpoint is kept; a budget below one panel raises ValueError), its
+own depth cap and its own convergence flag, so it reports what it would
+alone, save the order of some sums.
 The 15-term panel sums run through BLAS matrix-vector products, whose
 order of summing a row can depend on how many rows the call holds, so a
 seed panel's value and error estimate can move in the last bits with
 the panels that share its chunk.  Each bisection sums its two halves as
 a block of its own, as a driver that bisects one panel per call does.
 
-The semi-infinite routine integrates from t = 0 by one of three routes,
+The semi-infinite integrals start at t = 0 and take one of three routes,
 each with no truncation error or a closed-form remainder; the integrand is
 bounded at 0 and no node touches an endpoint, so the origin needs no
 special zone.  The first two rest on one fold: for g even and periodic
 with period P, sum_{k in Z} (u + kP)^(-2) = (pi/P)^2 csc^2(pi u/P) gives
 int_0^inf g/t^2 = int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du.
-- Exact periodic sum, for a trigonometric polynomial g of known degree K
-  in units of 2 pi/P (a product of characteristic functions under
-  commensurable rational weights).  Then g(0) = 0 makes
-  g(u) csc^2(pi u/P) a trigonometric polynomial of degree K - 1, which
-  the P-periodic midpoint rule with K nodes integrates exactly (Trefethen
-  and Weideman, "The exponentially convergent trapezoidal rule", SIAM
-  Rev. 56, 2014); evenness about P/2 leaves ceil(K/2) distinct nodes.
-  Its error is an a-priori bound on rounding, derived at `_periodic_sum`.
-- Gauss-Kronrod on the folded half period, for periodic g of no known
-  degree (the |phi|^s integrands; `integrate_periodic_tails` runs a
-  family of them in lock-step).
-- By parts, for g = 1 - psi with psi(t) = E cos(tS) for a known finite law
-  S: with M = P(S = 0) and K = E[|S|^-1; S != 0], integration by parts
-  gives int_T^inf g/t^2 = (1 - M)/T - R with |R| <= 2K/T^2, since the
+- Exact periodic sum (`integrate_khinchin_tail`), for a trigonometric
+  polynomial g of known degree K in units of 2 pi/P (a product of
+  characteristic functions under commensurable rational weights).  Then
+  g(0) = 0 makes g(u) csc^2(pi u/P) a trigonometric polynomial of degree
+  K - 1, which the P-periodic midpoint rule with K nodes integrates
+  exactly (Trefethen and Weideman, "The exponentially convergent
+  trapezoidal rule", SIAM Rev. 56, 2014); evenness about P/2 leaves
+  ceil(K/2) distinct nodes.  Its error is an a-priori bound on rounding,
+  derived at `_periodic_sum`.
+- Gauss-Kronrod on the folded half period (`integrate_periodic_tails`),
+  for periodic g of no known degree: the |phi|^s integrands.
+- By parts (`integrate_khinchin_tail`), for g = 1 - psi with
+  psi(t) = E cos(tS) for a known finite law S: with M = P(S = 0) and
+  K = E[|S|^-1; S != 0], integration by parts gives
+  int_T^inf g/t^2 = (1 - M)/T - R with |R| <= 2K/T^2, since the
   antiderivative of psi - M is bounded by K.  One integral over [0, T]
   with T = sqrt(2K/eps) leaves a tail error eps.
 Each route reports the achieved error, flagged as non-converged when the
@@ -192,8 +193,15 @@ class _Member:
     __slots__ = ("val", "err", "evals", "seq", "heap", "thinned")
 
 
-def _integrate_family(f, intervals, tol: float, max_depth: int,
-                      max_evals: int) -> list[QuadratureResult]:
+def _panel_cap(max_evals: int) -> int:
+    """Most 15-point panels a budget of `max_evals` points covers; a budget
+    below one panel raises ValueError."""
+    if max_evals < 15:
+        raise ValueError(f"max_evals must cover one 15-point panel, got {max_evals!r}")
+    return max_evals // 15
+
+
+def _integrate_family(f, intervals, tol: float, max_evals: int) -> list[QuadratureResult]:
     """Adaptive integrals of x -> f(x, m) over the m-th of `intervals`, all
     advanced in lock-step; one result per member.
 
@@ -207,7 +215,7 @@ def _integrate_family(f, intervals, tol: float, max_depth: int,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    cap = max(max_evals // 15, 1)
+    cap = _panel_cap(max_evals)
     lefts, rights, members = [], [], []
     for lo, hi, breakpoints in intervals:
         lo = float(lo)
@@ -264,7 +272,7 @@ def _integrate_family(f, intervals, tol: float, max_depth: int,
             covered, taken = 0.0, 0
             while member.heap and taken < room and covered < excess:
                 _, _, lo, hi, val, err, depth = heapq.heappop(member.heap)
-                if depth >= max_depth or hi - lo <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
+                if depth >= _MAX_DEPTH or hi - lo <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
                     # Unrefinable piece: keep its contribution, stop touching it.
                     continue
                 picked.append((member, k, lo, 0.5 * (lo + hi), hi, val, err, depth))
@@ -297,7 +305,6 @@ def integrate_adaptive(
     hi: float,
     tol: float = 1e-10,
     *,
-    max_depth: int = _MAX_DEPTH,
     max_evals: int = 10_000_000,
     breakpoints=(),
 ) -> QuadratureResult:
@@ -306,18 +313,18 @@ def integrate_adaptive(
     The one-member call of the module's family driver: refines the
     interval with the worst embedded error estimates until the summed
     estimate satisfies abs_error <= tol * max(1, |result|), a depth cap of
-    `max_depth` bisections, or the evaluation budget.  `breakpoints` seeds
+    _MAX_DEPTH bisections, or the evaluation budget.  `breakpoints` seeds
     the initial subdivision (interior points; kinks and known feature
     scales go here).  When the budget cannot cover the panels they make,
-    at most max_evals // 15 panels (at least one) are kept by taking every
-    k-th breakpoint, and the result is flagged unconverged.  Each round
-    bisects the fewest worst panels whose error estimates cover the excess
-    over the tolerance, at most PANEL_CHUNK, in one integrand call.  The
-    integrand must be vectorized: called on an array of points it returns
-    an array of the same shape, or a ValueError is raised.
+    at most max_evals // 15 panels are kept by taking every k-th
+    breakpoint, and the result is flagged unconverged; a budget below one
+    panel (15 points) raises ValueError.  Each round bisects the fewest
+    worst panels whose error estimates cover the excess over the
+    tolerance, at most PANEL_CHUNK, in one integrand call.  The integrand
+    must be vectorized: called on an array of points it returns an array
+    of the same shape, or a ValueError is raised.
     """
-    return _integrate_family(lambda xs, _: f(xs), [(lo, hi, breakpoints)], tol, max_depth,
-                             max_evals)[0]
+    return _integrate_family(lambda xs, _: f(xs), [(lo, hi, breakpoints)], tol, max_evals)[0]
 
 
 def _seed_count(hi: float, width: float) -> int:
@@ -350,7 +357,7 @@ def integrate_periodic_tails(
     periods,
     tol: float = 1e-8,
     *,
-    rate_hints=None,
+    rate_hints,
     max_evals: int = 10_000_000,
 ) -> list[QuadratureResult]:
     """(2/pi) * int_0^inf g(t, m)/t^2 dt for each member m of a family of
@@ -360,19 +367,20 @@ def integrate_periodic_tails(
     meet the preconditions of `integrate_khinchin_tail` and be periodic
     with period periods[m].  Member m is
     int_0^{P/2} g(u, m) (pi/P)^2 csc^2(pi u/P) du with P = periods[m],
-    exactly, on seed panels of width pi/rate_hints[m] (pi when the hints
-    are None); a half period that needs more panels than the budget allows
-    is seeded with what it allows and flagged unconverged.  `max_evals`
-    caps the integrand points of each member.
+    exactly, on seed panels of width pi/rate_hints[m], where the rate
+    bounds |d/dt| of the oscillatory part; a half period that needs more
+    panels than the budget allows is seeded with what it allows and
+    flagged unconverged.  `max_evals` caps the
+    integrand points of each member; below one panel (15 points) it raises
+    ValueError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    rates = [None] * len(periods) if rate_hints is None else rate_hints
-    if len(rates) != len(periods):
+    if len(rate_hints) != len(periods):
         raise ValueError("need one rate hint per period")
-    panels = max(max_evals // 15, 1)
+    panels = _panel_cap(max_evals)
     scales, seeds, spans = [], [], []
-    for period, rate in zip(periods, rates):
+    for period, rate in zip(periods, rate_hints):
         period = _period(period)
         half = 0.5 * period
         n = _seed_count(half, _seed_width(rate))
@@ -392,8 +400,7 @@ def integrate_periodic_tails(
     # within tol of the raw integral is within tol after the factor 2/pi
     return [QuadratureResult(two_over_pi * res.value, two_over_pi * res.abs_error,
                              res.evaluations, res.converged and n <= panels)
-            for res, n in zip(_integrate_family(weighted, spans, tol, _MAX_DEPTH, max_evals),
-                                  seeds)]
+            for res, n in zip(_integrate_family(weighted, spans, tol, max_evals), seeds)]
 
 
 def _periodic_sum(g, period: float, degree: int, error_slope: float) -> tuple[float, float]:
@@ -460,30 +467,23 @@ def integrate_khinchin_tail(
 
     Preconditions on g: even, bounded, g(0) = 0 with g(t) = O(t^2) at the
     origin (true for g(t) = 1 - prod_j phi_j(a_j t) built from
-    characteristic functions of symmetric laws, and for the |phi|^s
-    variants).  Every route starts at t = 0, so g must keep its relative
-    accuracy at small t: build it from 1 - phi, not from phi.
+    characteristic functions of symmetric laws).  Every route starts at
+    t = 0, so g must keep its relative accuracy at small t: build it from
+    1 - phi, not from phi.  Two routes (the module docstring gives their
+    mathematics):
 
-    `period_hint` is the period P of g; pass it only when g is genuinely
-    periodic (rational-support laws under rational weights; never float
-    weights).  Three routes (the module docstring gives their mathematics):
-
-    - With `degree` K as well, g is a trigonometric polynomial of degree K
-      in units of 2 pi/P, and the exact periodic sum takes its ceil(K/2)
-      nodes, when they number at most NODE_CAP and at most `max_evals`.
-      Its `abs_error` bounds the rounding (see `_periodic_sum`), given the
-      caller's `error_slope` s: g, called at a node t within 6u of the
-      exact one (u = eps/2), returns a value within s t of the exact g(t);
-      `converged` is abs_error <= tol * max(1, |value|).
-      Past either cap the integral goes by parts, which needs `bohr`; a
-      ValueError is raised without it.  No sum is taken over fewer nodes
-      than the degree needs.
-    - Without `degree`, the periodic g is the one-member call of
-      `integrate_periodic_tails`: Gauss-Kronrod on
-      int_0^{P/2} g(u) (pi/P)^2 csc^2(pi u/P) du with seed panels of width
-      pi/rate up to the evaluation budget; a half period that needs more
-      panels than the budget allows is seeded with what it allows and the
-      result is flagged unconverged.
+    - Exact periodic sum.  `period_hint` P and `degree` K, given together,
+      say that g is a trigonometric polynomial of degree K in units of
+      2 pi/P (rational-support laws under rational weights; never float
+      weights).  The sum takes its ceil(K/2) nodes, when they number at
+      most NODE_CAP and at most `max_evals`.  Its `abs_error` bounds the
+      rounding (see `_periodic_sum`), given the caller's `error_slope` s:
+      g, called at a node t within 6u of the exact one (u = eps/2),
+      returns a value within s t of the exact g(t); `converged` is
+      abs_error <= tol * max(1, |value|).  No sum is taken over fewer
+      nodes than the degree needs: past either cap the integral goes by
+      parts.  A period without a degree raises ValueError; a family of
+      periodic g of no known degree goes to `integrate_periodic_tails`.
     - By parts, without a period or past the exact sum's caps.  `bohr` =
       (M, K, shift), or a function returning it that runs only on this
       route, describes g = 1 - psi with psi(t) = E cos(tS) for a finite law
@@ -494,10 +494,9 @@ def integrate_khinchin_tail(
       (2/pi) (quadrature error + 2K/T^2) + shift, where moving atoms by at
       most `shift` moves the tail term by at most (pi/2) shift.  A budget
       too small to seed [0, T] at panel width pi/rate shrinks T to what it
-      covers, charges 2K/T^2 there and flags the result unconverged.  The
-      result's `tail` is (T, M, K).
-
-    With neither `period_hint` nor `bohr` a ValueError is raised.
+      covers, charges 2K/T^2 there and flags the result unconverged; a
+      budget below one panel (15 points) raises ValueError.  The result's
+      `tail` is (T, M, K).  Without `bohr` this route raises ValueError.
 
     `rate_hint` bounds |d/dt| of the oscillatory part and seeds the
     Gauss-Kronrod subdivision with panels of width pi/rate, so narrow
@@ -507,21 +506,20 @@ def integrate_khinchin_tail(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if period_hint is None and bohr is None:
-        raise ValueError("the tail needs period_hint (g periodic) or bohr "
-                         "(g = 1 - E cos(tS) for a finite law S)")
-    if degree is not None:
-        if period_hint is None:
+    if period_hint is None:
+        if degree is not None:
             raise ValueError("degree needs period_hint")
+        if bohr is None:
+            raise ValueError("the tail needs period_hint and degree (g a trigonometric "
+                             "polynomial) or bohr (g = 1 - E cos(tS) for a finite law S)")
+    else:
+        period = _period(period_hint)
+        if degree is None:
+            raise ValueError("period_hint needs degree; integrate_periodic_tails takes "
+                             "a periodic g of no known degree")
         degree = operator.index(degree)
         if degree < 1:
             raise ValueError("degree must be a positive integer")
-
-    if period_hint is not None:
-        period = _period(period_hint)
-        if degree is None:
-            return integrate_periodic_tails(lambda ts, _: g(ts), [period], tol,
-                                            rate_hints=[rate_hint], max_evals=max_evals)[0]
         nodes = (degree + 1) // 2
         if nodes <= min(NODE_CAP, max_evals):
             value, abs_error = _periodic_sum(g, period, degree, error_slope)
@@ -539,7 +537,7 @@ def integrate_khinchin_tail(
     # (2/pi) 2K/T^2 = 0.4 tol, and the quadrature's 0.5 tol max(1, raw)
     # is at most 0.5 tol max(1, value) after the factor 2/pi
     cut = max(math.sqrt(2.0 * k / (0.2 * math.pi * tol)), seed_width)
-    panels = max(max_evals // 15, 1)
+    panels = _panel_cap(max_evals)
     short = _seed_count(cut, seed_width) > panels
     if short:
         cut = panels * seed_width

@@ -157,7 +157,7 @@ def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
     vals, masses = law.values_float(), law.masses_float()
     k = len(vals)
     if k**n > SUPPORT_GUARD:
-        return np.array([abs_moment(convolve_weighted([law] * n, row), p, mode="float").value
+        return np.array([abs_moment(convolve_weighted([law] * n, row), p).value
                          for row in roots.tolist()])
     pf = float(p)
     t = n
@@ -508,31 +508,22 @@ def make_symmetric_three_point(rho0) -> SymmetricAtomLaw:
     return make_step_law(params)
 
 
-def comparison_threshold_by_L(L: int, width: float = 1e-13) -> float:
+def comparison_threshold_by_L(L: int) -> float:
     """Largest zero mass at which a single coordinate still satisfies the
-    p = 3 Gaussian comparison, found by bisection on the exact moment
-    inequality E|Y|^3 <= ||G||_3^3 (E Y^2)^(3/2).
+    p = 3 Gaussian comparison E|Y|^3 <= ||G||_3^3 (E Y^2)^(3/2).
+
+    With m_k = E|X|^k of the block X uniform on {1..L} and g3 = ||G||_3^3,
+    zero mass rho gives the gap g3 ((1 - rho) m2)^(3/2) - (1 - rho) m3,
+    which is positive exactly when sqrt(1 - rho) > m3 / (g3 m2^(3/2)): the
+    threshold is max(0, 1 - (m3 / (g3 m2^(3/2)))^2).
     """
     if not (isinstance(L, int) and L >= 1):
         raise ValueError(f"L must be an integer >= 1, got {L!r}")
     js = np.arange(1, L + 1, dtype=float)
     m3 = float(np.sum(js**3)) / L
     m2 = float(np.sum(js**2)) / L
-    g3 = gaussian_norm(3) ** 3
-
-    def gap(rho: float) -> float:
-        return g3 * ((1 - rho) * m2) ** 1.5 - (1 - rho) * m3
-
-    lo, hi = 0.0, 1.0
-    if gap(lo) <= 0:
-        return 0.0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    ratio = m3 / (gaussian_norm(3) ** 3 * m2**1.5)
+    return max(0.0, 1.0 - ratio * ratio)
 
 
 def comparison_zero_mass_limit(l_values: Sequence[int] = (10, 100, 1000, 10000),

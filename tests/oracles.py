@@ -119,34 +119,6 @@ def gaussian_plus_part_quad(sigma, a):
     return 2.0 * val / (sigma * math.sqrt(2 * math.pi)), err
 
 
-def endpoint_gap_closed_form(t):
-    """h(t) = (t-1) erf(sqrt(t/2)) + sqrt(2 t / pi) e^(-t/2) - 2t/3.
-
-    Obtained from the defining integral by parts; an independent route to
-    the quadrature-based evaluator.
-    """
-    r = math.sqrt(t)
-    return ((t - 1.0) * math.erf(r / math.sqrt(2.0))
-            + math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * t)
-            - (2.0 / 3.0) * t)
-
-
-def endpoint_slope_closed_form(t):
-    """h'(t) = erf(sqrt(t/2)) - 2/3."""
-    return math.erf(math.sqrt(0.5 * t)) - 2.0 / 3.0
-
-
-def comparison_threshold_closed_form(L):
-    """Zero-mass threshold for the one-coordinate p = 3 comparison.
-
-    E|Y|^3 <= g3^3 (E Y^2)^(3/2) with moments linear in (1 - rho) gives
-    rho* = 1 - pi m3^2 / (8 m2^3), m2 and m3 the block power means.
-    """
-    m2 = Fraction((L + 1) * (2 * L + 1), 6)
-    m3 = Fraction(L * (L + 1) ** 2, 4)
-    return 1.0 - math.pi * float(m3 * m3) / (8.0 * float(m2) ** 3)
-
-
 # ---------------------------------------------------------------- argparse front end
 
 def _add_common(sp, fmt_default="json"):

@@ -80,8 +80,8 @@ def test_criterion_02_tangent_values(capsys):
 
 def test_criterion_03_endpoint_checkpoints(capsys):
     t0 = 49.0 / 20.0
-    slope = endpoint_gap_slope(t0, tol=1e-10)
-    gap = endpoint_gap(t0, tol=1e-10)
+    slope = endpoint_gap_slope(t0)
+    gap = endpoint_gap(t0)
     ok = slope > 0.2 and gap > 0.01
     _line(capsys, ok,
           f"criterion 3: endpoint slope {slope:.6f} > 0.2 and gap {gap:.6f} > 0.01")

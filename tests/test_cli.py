@@ -172,6 +172,23 @@ def test_verify_power_floor_fails_on_unconverged_integrals(capsys):
     assert all(row["abs_error"] > 0 for row in obj["witness"]["rows"])
 
 
+def test_budget_below_one_panel_exits_2(capsys):
+    # a Gauss-Kronrod route cannot run under 15 evaluations: the sweep's
+    # periodic family and the by-parts tail of float weights refuse the
+    # budget, while the exact periodic sum of rational weights takes 1 node
+    for argv in (["sweep", "--rho0", "1/2", "--L", "1", "--s-min", "1", "--s-max", "4",
+                  "--n", "4", "--budget", "10"],
+                 ["haagerup", "--weights", "0.5", "--rho0", "1/2", "--L", "1", "--budget", "10"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and "15-point panel" in err
+    code, out, err = run_cli(capsys, "haagerup", "--weights", "1", "--rho0", "1/2", "--L", "1",
+                             "--budget", "10")
+    report = json.loads(out)
+    assert (code, err) == (0, "") and report["pass"] is True
+    assert report["witness"]["tail"] is None
+
+
 def test_verify_comparison_needs_no_zero_mass(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "comparison", "--rho0", "1/2")
     assert code == 2 and "error:" in err

@@ -727,13 +727,38 @@ EPS = np.finfo(float).eps
 def test_ratio_root_matches_mpmath(num, den, p):
     with mpmath.workdps(50):
         ref = mpmath.root(mpmath.mpf(num) / den, p)
-    if not mpmath.mpf(2) ** -1000 <= ref <= mpmath.mpf(2) ** 1000:
-        return  # outside the normal float range even as a root
-    got = ratio_root(num, den, p)
-    # the integer route rounds the floor of a 64-bit root once more; the
-    # float route rounds num / den, 1/p (by eps/2p relative, which moves
-    # q^(1/p) by |ln q| eps / 2p = |ln ref| eps / 2) and the power
-    assert abs(got - float(ref)) <= (abs(math.log(ref)) / 2 + 4) * EPS * float(ref)
+        if not mpmath.mpf(2) ** -1000 <= ref <= mpmath.mpf(2) ** 1000:
+            return  # outside the normal float range even as a root
+        _assert_within_one_ulp(ratio_root(num, den, p), ref)
+
+
+def _assert_within_one_ulp(got: float, ref) -> None:
+    """got lies within one ulp of the mpmath value ref (taken at 50 digits):
+    the floor of a root of at least 64 bits, rounded to 53, is off by at
+    most half an ulp plus 2^-10 of one."""
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(got) - ref) <= math.ulp(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(1, 10**300), den=st.integers(1, 10**300), p=st.integers(1, 50))
+@example(num=10**300, den=3, p=50)
+def test_ratio_root_in_the_float_range_is_within_one_ulp(num, den, p):
+    # quotients in the normal float range: the root comes from integers
+    # alone, with no rounding of q = num / den or of 1/p
+    with mpmath.workdps(50):
+        q = mpmath.mpf(num) / den
+        if not mpmath.mpf(2) ** -1022 <= q <= mpmath.mpf(2) ** 1023:
+            return
+        _assert_within_one_ulp(ratio_root(num, den, p), mpmath.root(q, p))
+
+
+def test_ratio_root_of_an_exact_cube():
+    # the quotient 10^300 has the integer cube root 10^100, so the floor
+    # is exact and one rounding gives the double nearest 10^100; a float
+    # route through q^(1/3) is off by dozens of ulps here
+    assert ratio_root(10**700, 10**400, 3) == 1e100
+    assert ratio_root(0, 7, 3) == 0.0
 
 
 def test_moment_past_the_float_range_keeps_its_root():
@@ -745,6 +770,8 @@ def test_moment_past_the_float_range_keeps_its_root():
     assert moment_root(m, 1000) == pytest.approx(ref, rel=2 * EPS)
     norm = weighted_sum_norm([1, 1, 1], coin, 1000)
     assert (norm.value, norm.exact) == (moment_root(m, 1000), m.exact)
-    # inside the float range the root is the float route's, bit for bit
+    # inside the float range the root is as close as past it
     small = sum_abs_moment([coin] * 3, [1, 1, 1], 5)
-    assert moment_root(small, 5) == small.value ** (1.0 / 5)
+    with mpmath.workdps(50):
+        _assert_within_one_ulp(moment_root(small, 5), mpmath.root(
+            mpmath.mpf(small.exact.numerator) / small.exact.denominator, 5))

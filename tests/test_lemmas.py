@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -160,12 +161,19 @@ def test_plus_part_gap_against_quadrature():
 
 
 def test_plus_part_gap_grid_matches_scalar():
+    # against the Gaussian part by direct density integration plus the
+    # block part summed term by term, breakpoints k^2 included; the scalar
+    # gap is the grid's one-threshold case
     for L in (2, 4, 6):
+        sigma = math.sqrt((L + 1) * (2 * L + 1) / 6)
         grid = np.concatenate([np.linspace(0.0, L * L, 337),
                                [float(k * k) for k in range(L + 1)]])
         vals = plus_part_gap_grid(L, grid)
-        want = np.array([plus_part_gap(L, a) for a in grid])
-        assert np.max(np.abs(vals - want)) < 1e-12
+        for a, got in zip(grid.tolist(), vals.tolist()):
+            gauss, err = oracles.gaussian_plus_part_quad(sigma, a)
+            block = sum(k * k - a for k in range(1, L + 1) if k * k > a) / L
+            assert got == pytest.approx(gauss - block, rel=1e-9, abs=10 * err)
+            assert plus_part_gap(L, a) == got
 
 
 def test_plus_part_gap_slope_is_derivative():
@@ -258,11 +266,16 @@ def test_endpoint_argument_exact():
 
 
 def test_endpoint_gap_matches_closed_form():
-    for t in (0.3, 1.0, 2.45, 4.0):
-        assert endpoint_gap(t) == pytest.approx(
-            oracles.endpoint_gap_closed_form(t), abs=1e-10)
-        assert endpoint_gap_slope(t) == pytest.approx(
-            oracles.endpoint_slope_closed_form(t), abs=1e-10)
+    # the closed forms against a 30-digit quadrature of the defining integrals
+    for t in (0.3, 1.0, 2.45, 4.0, *(endpoint_argument(L) for L in (7, 9, 40))):
+        with mpmath.workdps(30):
+            tm = mpmath.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else mpmath.mpf(t)
+            scale, root = mpmath.sqrt(2 / mpmath.pi), mpmath.sqrt(tm)
+            gap = scale * mpmath.quad(lambda x: (tm - x * x) * mpmath.exp(-x * x / 2),
+                                      [0, root]) - 2 * tm / 3
+            slope = scale * mpmath.quad(lambda x: mpmath.exp(-x * x / 2), [0, root]) - 2 / 3
+        assert endpoint_gap(t) == pytest.approx(float(gap), rel=0, abs=1e-15)
+        assert endpoint_gap_slope(t) == pytest.approx(float(slope), rel=0, abs=1e-15)
 
 
 def test_endpoint_gap_at_zero():

@@ -14,7 +14,6 @@ from khinchin_lab.quadrature import (
     _GAUSS_W,
     _KRONROD_W,
     _KRONROD_X,
-    _MAX_DEPTH,
     _gk15,
     _integrate_family,
     integrate_adaptive,
@@ -65,7 +64,9 @@ def test_scalar_returning_integrand_raises():
     with pytest.raises(ValueError, match="same shape"):
         integrate_adaptive(lambda x: 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="same shape"):
-        integrate_khinchin_tail(lambda t: 0.5, period_hint=2 * math.pi)
+        integrate_khinchin_tail(lambda t: 0.5, period_hint=2 * math.pi, degree=1)
+    with pytest.raises(ValueError, match="same shape"):
+        integrate_periodic_tails(lambda t, m: 0.5, [2 * math.pi], rate_hints=[1.0])
 
 
 def test_integrand_error_on_arrays_propagates():
@@ -171,12 +172,12 @@ def test_family_integrand_sees_each_points_member():
         return (members + 1.0) * np.ones_like(x)
 
     res = _integrate_family(f, [(0.0, 1.0, ()), (0.0, 2.0, (0.5, 1.0)), (1.0, 4.0, ())],
-                            1e-10, _MAX_DEPTH, 10_000)
+                            1e-10, 10_000)
     assert [r.value for r in res] == pytest.approx([1.0, 4.0, 9.0], rel=1e-14)
     assert [r.evaluations for r in res] == [15, 45, 15]
     assert len(calls) == 1  # the seed panels of every member in one call
     assert calls[0].tolist() == [0] * 15 + [1] * 45 + [2] * 15
-    assert _integrate_family(f, [], 1e-10, _MAX_DEPTH, 10_000) == []
+    assert _integrate_family(f, [], 1e-10, 10_000) == []
 
 
 def test_family_members_match_one_member_calls():
@@ -195,7 +196,7 @@ def test_family_members_match_one_member_calls():
         assert np.all(np.diff(members) >= 0)  # grouped by member, in order
         return f(x, members)
 
-    family = _integrate_family(recording, intervals, 1e-9, _MAX_DEPTH, 13_700)
+    family = _integrate_family(recording, intervals, 1e-9, 13_700)
     assert len(sizes) > 1 and all(size % 30 == 0 and size <= 30 * PANEL_CHUNK
                                   for size in sizes[1:])
     assert sum(sizes) == sum(r.evaluations for r in family)
@@ -230,7 +231,7 @@ def test_periodic_tails_family_matches_one_member_tails():
     with pytest.raises(ValueError, match="one rate hint per period"):
         integrate_periodic_tails(lambda t, m: t, [1.0, 2.0], rate_hints=[1.0])
     with pytest.raises(ValueError, match="period_hint"):
-        integrate_periodic_tails(lambda t, m: t, [1.0, -2.0])
+        integrate_periodic_tails(lambda t, m: t, [1.0, -2.0], rate_hints=[1.0, 1.0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 40, 1001])
@@ -334,36 +335,81 @@ def test_linearity_within_error_budget():
     assert abs(rc.value - combo) <= 2.0 * rf.abs_error + 0.5 * rg.abs_error + rc.abs_error
 
 
+# Each g below has degree 1 in units of 2 pi/P, so the exact sum takes one
+# node, t = P/2.  Its error slope s covers g's rounding there (u = eps/2):
+# the node is off by 6u relative, which moves g by at most 6u t |g'|, and
+# g's own roundings add c u for a g built from c roundings of values <= 1;
+# with t = P/2 that is at most (6 |g'| + 2c/P) u t.
+
 # (2/pi) int (1 - cos t)/t^2 dt = 1: the single random-sign first moment.
 def test_tail_one_minus_cos():
-    res = integrate_khinchin_tail(lambda t: 1.0 - np.cos(t),
-                                  period_hint=2 * math.pi, tol=1e-8)
-    assert res.converged
-    assert abs(res.value - 1.0) < 2e-8
+    # |g'| <= 1, c = 10 (cos 8u, the subtraction 2u), P = 2 pi
+    res = integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), period_hint=2 * math.pi,
+                                  tol=1e-8, degree=1, error_slope=(6 + 10 / math.pi) * 0.5 * EPS)
+    assert res.converged and res.tail is None and res.evaluations == 1
+    assert abs(res.value - 1.0) <= res.abs_error <= 1e-8
 
 
 # g = sin^2(t/sqrt(2)) is the two-fold |cos|^2 bracket; the integral is
 # 1/sqrt(2) by the substitution u = t/sqrt(2).
 def test_tail_sin_squared():
+    # |g'| <= 1/sqrt(2) < 1, with 2u more on the argument from sqrt(2) and
+    # the division; c = 20 (sin 8u, squared 17u, the argument 2u), P = pi sqrt(2)
     res = integrate_khinchin_tail(
-        lambda t: np.sin(t / math.sqrt(2.0)) ** 2,
-        period_hint=math.pi * math.sqrt(2.0), tol=1e-8)
-    assert res.converged
-    assert abs(res.value - 1.0 / math.sqrt(2.0)) < 2e-8
+        lambda t: np.sin(t / math.sqrt(2.0)) ** 2, period_hint=math.pi * math.sqrt(2.0),
+        tol=1e-8, degree=1, error_slope=(8 + 40 / (math.pi * math.sqrt(2.0))) * 0.5 * EPS)
+    assert res.converged and res.tail is None and res.evaluations == 1
+    assert abs(res.value - 1.0 / math.sqrt(2.0)) <= res.abs_error <= 1e-8
 
 
 def test_tail_two_coin_product():
     # E|X1 + X2| for the +-1 coin through 1 - cos^2 t; equals 1.
-    res = integrate_khinchin_tail(lambda t: 1.0 - np.cos(t) ** 2,
-                                  period_hint=math.pi, tol=1e-8)
-    assert res.converged
-    assert abs(res.value - 1.0) < 2e-8
+    # |g'| = |sin 2t| <= 1, c = 19 (cos 8u, squared 17u, the subtraction 2u), P = pi
+    res = integrate_khinchin_tail(lambda t: 1.0 - np.cos(t) ** 2, period_hint=math.pi,
+                                  tol=1e-8, degree=1, error_slope=(6 + 38 / math.pi) * 0.5 * EPS)
+    assert res.converged and res.tail is None and res.evaluations == 1
+    assert abs(res.value - 1.0) <= res.abs_error <= 1e-8
 
 
 def test_tail_zero_integrand():
-    res = integrate_khinchin_tail(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                                  period_hint=math.pi, tol=1e-8)
-    assert abs(res.value) < 1e-12
+    def zero(t, *_):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    res = integrate_khinchin_tail(zero, period_hint=math.pi, tol=1e-8, degree=1)
+    assert (res.value, res.abs_error, res.converged) == (0.0, 0.0, True)
+    # the Gauss-Kronrod family: every panel has resasc = 0, and its error
+    # estimate is |Kronrod - Gauss| = 0
+    res, = integrate_periodic_tails(zero, [math.pi], tol=1e-8, rate_hints=[1.0])
+    assert (res.value, res.abs_error, res.converged) == (0.0, 0.0, True)
+
+
+def test_tail_period_needs_a_degree():
+    # a periodic g of no known degree goes to integrate_periodic_tails
+    with pytest.raises(ValueError, match="period_hint needs degree"):
+        integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), 2 * math.pi)
+    with pytest.raises(ValueError, match="period_hint needs degree"):
+        integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), 2 * math.pi,
+                                bohr=(0.0, 1.0, 0.0))
+
+
+def test_budget_below_one_panel_raises():
+    with pytest.raises(ValueError, match="one 15-point panel"):
+        integrate_adaptive(np.sin, 0.0, 1.0, max_evals=14)
+    res = integrate_adaptive(np.sin, 0.0, 1.0, max_evals=15)
+    assert res.evaluations == 15 and res.converged
+    with pytest.raises(ValueError, match="one 15-point panel"):
+        integrate_periodic_tails(lambda t, m: 1.0 - np.cos(t), [2 * math.pi], rate_hints=[1.0],
+                                 max_evals=14)
+    with pytest.raises(ValueError, match="one 15-point panel"):
+        integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), bohr=(0.0, 1.0, 0.0), max_evals=14)
+    # the exact periodic sum needs no panel: one node under a budget of 1
+    res = integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), 2 * math.pi, degree=1,
+                                  max_evals=1, bohr=(0.0, 1.0, 0.0))
+    assert res.tail is None and res.evaluations == 1
+    # past the budget it goes by parts, where the budget is too small
+    with pytest.raises(ValueError, match="one 15-point panel"):
+        integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), 2 * math.pi, degree=41,
+                                max_evals=14, bohr=(0.0, 1.0, 0.0))
 
 
 def test_tail_needs_a_period_or_bohr():

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from khinchin_lab.exactprob import (
     convolve_weighted,
     gaussian_norm,
     make_step_law,
+    moment_root,
     second_moment,
 )
 from khinchin_lab.schur import (
@@ -327,12 +329,18 @@ def test_ratio_sequence_frozen():
 def test_ratio_sequence_matches_the_convolved_sums(p):
     # E S_n^2 = n E X^2, and E S_n^p at even p, come from the summands, and
     # at odd p from the split of S_ceil(n/2) and S_floor(n/2); the ratios
-    # equal those of the convolved laws to the last bit
+    # equal those of the convolved laws' exact moments to the last bit, and
+    # each root is within one ulp of a 40-digit mpmath root
     law = make_step_law(StepLawParams(Fraction(1, 3), 3))
     want = []
     for n in range(1, 8):
         s = convolve_weighted([law] * n, [1] * n)
-        want.append(abs_moment(s, p).value ** (1.0 / p) / math.sqrt(float(second_moment(s))))
+        m = abs_moment(s, p)
+        root = moment_root(m, p)
+        with mpmath.workdps(40):
+            ref = mpmath.root(mpmath.mpf(m.exact.numerator) / m.exact.denominator, p)
+            assert abs(mpmath.mpf(root) - ref) <= math.ulp(root)
+        want.append(root / math.sqrt(float(second_moment(s))))
     assert equal_weight_ratio_sequence(law, p, 7) == want
 
 
@@ -354,10 +362,27 @@ def test_schur_threshold_exact():
     assert schur_zero_mass_threshold() == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("L", [1, 2, 10, 100])
+#: pi to 35 decimals, and 10^-35 above it: a rational enclosure of pi
+_PI_LO = Fraction(314159265358979323846264338327950288, 10**35)
+_PI_HI = _PI_LO + Fraction(1, 10**35)
+
+
+@pytest.mark.parametrize("L", [*range(1, 51), 100])
 def test_comparison_threshold_closed_form(L):
-    assert comparison_threshold_by_L(L) == pytest.approx(
-        oracles.comparison_threshold_closed_form(L), abs=1e-11)
+    # the one-coordinate comparison E|Y|^3 <= ||G||_3^3 (E Y^2)^(3/2), with
+    # ||G||_3^3 = 2 sqrt(2/pi), squared: pi (E|Y|^3)^2 <= 8 (E Y^2)^3.  In
+    # exact moments of the step law it holds at a rational zero mass just
+    # below the threshold and fails just above it
+    rho_l = comparison_threshold_by_L(L)
+    for rho, holds in ((Fraction(rho_l) - Fraction(1, 10**12), True),
+                       (Fraction(rho_l) + Fraction(1, 10**12), False)):
+        atoms = make_step_law(StepLawParams(rho, L)).atoms
+        m2 = sum(m * v**2 for v, m in atoms)
+        m3 = sum(m * abs(v)**3 for v, m in atoms)
+        if holds:
+            assert _PI_HI * m3**2 < 8 * m2**3
+        else:
+            assert _PI_LO * m3**2 > 8 * m2**3
 
 
 def test_comparison_threshold_l1():
