@@ -29,7 +29,6 @@ from .exactprob import (
     gaussian_norm,
     make_step_law,
     second_moment,
-    sigma_of,
 )
 from .reports import VerdictReport, format_reports, sig12, to_json, to_jsonable
 
@@ -132,7 +131,9 @@ def _cmd_constants(config: RunConfig) -> int:
     p = config.params
     law = _law(p)
     crit = haagerup.solve_critical_exponent()
+    m1 = first_abs_moment(law)
     m2 = second_moment(law)
+    sigma = math.sqrt(float(m2))
     entries: dict[str, object] = {
         "p": p["p"],
         "rho0": p["rho0"],
@@ -141,15 +142,14 @@ def _cmd_constants(config: RunConfig) -> int:
         "critical_exponent": crit.value,
         "critical_residual": crit.residual,
         "schur_zero_mass_threshold": Fraction(1, 2),
-        "comparison_zero_mass_limit": 1.0 - 27.0 * math.pi / 128.0,
-        "two_weight_threshold_closed_form":
-            1.0 - 3.0 * p["L"] * (2.0 - math.sqrt(2.0)) / (2 * p["L"] + 1),
-        "sigma": sigma_of(law),
-        "first_abs_moment": first_abs_moment(law),
+        "comparison_zero_mass_limit": schur.COMPARISON_ZERO_MASS_LIMIT,
+        "two_weight_threshold_closed_form": haagerup.two_weight_closed_form(p["L"]),
+        "sigma": sigma,
+        "first_abs_moment": m1,
         "second_moment": m2,
     }
     if m2 != 0:
-        entries["c1"] = float(first_abs_moment(law)) / math.sqrt(float(m2))
+        entries["c1"] = float(m1) / sigma
     if p.get("n_given"):
         entries["ratio_sequence"] = schur.equal_weight_ratio_sequence(
             law, p["p"], p["n"])
@@ -282,64 +282,42 @@ def _cmd_haagerup(config: RunConfig) -> int:
 
 
 def _cmd_necessity(config: RunConfig) -> int:
-    p = config.params
-    L = p["L"]
+    sizes = (10, 100, 1000, 10000)
+    # the threshold sequence converges like 1/L, so the sweep tolerance
+    # is fixed at 1e-4 rather than tied to the generic --tol
+    sweep_tol = 1e-4
 
-    def schur_side():
+    def checked(claim, params, side):
+        """side()'s (margin, witness) as a passing report, or a failing one
+        carrying the ArithmeticError it raised."""
         try:
-            thr = schur.schur_zero_mass_threshold()
-            return VerdictReport(
-                claim="schur-zero-mass-threshold",
-                params={"p": 3, "L": 1},
-                passed=True, margin=0.0,
-                witness={"threshold": thr},
-            )
+            (margin, witness), passed = side(), True
         except ArithmeticError as exc:
-            return VerdictReport(
-                claim="schur-zero-mass-threshold",
-                params={"p": 3, "L": 1},
-                passed=False, margin=-1.0,
-                witness={"error": str(exc)},
-            )
+            margin, witness, passed = -1.0, {"error": str(exc)}, False
+        return VerdictReport(claim=claim, params=params, passed=passed, margin=margin,
+                             witness=witness)
 
     def comparison_side():
-        sizes = (10, 100, 1000, 10000)
-        # the threshold sequence converges like 1/L, so the sweep tolerance
-        # is fixed at 1e-4 rather than tied to the generic --tol
-        sweep_tol = 1e-4
-        try:
-            limit = schur.comparison_zero_mass_limit(sizes, tol=sweep_tol)
-            thresholds = {str(s): schur.comparison_threshold_by_L(s) for s in sizes}
-            gap = abs(thresholds[str(sizes[-1])] - limit)
-            return VerdictReport(
-                claim="comparison-zero-mass-limit",
-                params={"sizes": list(sizes), "tol": sweep_tol},
-                passed=True, margin=sweep_tol - gap,
-                witness={"limit": limit, "thresholds": thresholds,
-                         "single_block": schur.comparison_threshold_by_L(1)},
-            )
-        except ArithmeticError as exc:
-            return VerdictReport(
-                claim="comparison-zero-mass-limit",
-                params={"sizes": list(sizes), "tol": sweep_tol},
-                passed=False, margin=-1.0,
-                witness={"error": str(exc)},
-            )
+        limit = schur.comparison_zero_mass_limit(sizes, tol=sweep_tol)
+        thresholds = {str(s): schur.comparison_threshold_by_L(s) for s in sizes}
+        gap = abs(thresholds[str(sizes[-1])] - limit)
+        return sweep_tol - gap, {"limit": limit, "thresholds": thresholds,
+                                 "single_block": schur.comparison_threshold_by_L(1)}
 
-    def critical():
-        res = haagerup.solve_critical_exponent()
-        return VerdictReport(
-            claim="critical-exponent",
-            params={"tol": 1e-12},
-            passed=res.residual <= 1e-12,
-            margin=1e-12 - res.residual,
-            witness={"value": res.value, "residual": res.residual,
-                     "bracket": list(res.bracket), "sign_changes": res.sign_changes},
-        )
-
-    tasks = [schur_side, comparison_side,
-             lambda: haagerup.two_weight_threshold(L), critical]
-    return _finish([task() for task in tasks], config)
+    reports = [
+        checked("schur-zero-mass-threshold", {"p": 3, "L": 1},
+                lambda: (0.0, {"threshold": schur.schur_zero_mass_threshold()})),
+        checked("comparison-zero-mass-limit", {"sizes": list(sizes), "tol": sweep_tol},
+                comparison_side),
+        haagerup.two_weight_threshold(config.params["L"]),
+    ]
+    crit = haagerup.solve_critical_exponent()
+    reports.append(VerdictReport(
+        claim="critical-exponent", params={"tol": 1e-12},
+        passed=crit.residual <= 1e-12, margin=1e-12 - crit.residual,
+        witness={"value": crit.value, "residual": crit.residual,
+                 "bracket": list(crit.bracket)}))
+    return _finish(reports, config)
 
 
 def _cmd_sweep(config: RunConfig) -> int:

@@ -56,6 +56,7 @@ __all__ = [
     "product_charfn_period",
     "product_charfn_period_degree",
     "solve_critical_exponent",
+    "two_weight_closed_form",
     "two_weight_threshold",
     "verify_charfn_power_floor",
 ]
@@ -480,43 +481,34 @@ class CriticalExponentResult:
     value: float
     residual: float
     bracket: tuple[float, float]
-    sign_changes: int
 
 
 def _gamma_gap(p: float) -> float:
     return math.gamma(0.5 * (p + 1.0)) - 0.5 * math.sqrt(math.pi)
 
 
-def solve_critical_exponent(tol: float = 1e-12) -> CriticalExponentResult:
+def solve_critical_exponent() -> CriticalExponentResult:
     """Unique p in (0, 2) with Gamma((p+1)/2) = sqrt(pi)/2, about 1.8474.
 
-    Gamma((p+1)/2) falls from sqrt(pi) through its minimum near p = 1.92
-    and climbs back to exactly sqrt(pi)/2 at the excluded endpoint p = 2,
-    so the gap changes sign exactly once inside the open interval.  The
-    root is bracketed by bisection; the residual must come out below tol.
+    Gamma is convex (log-convex, by Bohr-Mollerup), so the gap
+    Gamma((p+1)/2) - sqrt(pi)/2 has at most two zeros, one at p = 2: a sign
+    change in (0, 2) is its only zero there.  Bisection of [1, 1.99] stops
+    at adjacent floats, the float gap positive at the lower end (`value`,
+    with gap `residual`) and at most 0 at the upper.  The gap's slope there
+    is about -0.0165, so an ulp of rounding in it moves the root ~30 ulps.
     """
     lo, hi = 1.0, 1.99
     glo = _gamma_gap(lo)
     ghi = _gamma_gap(hi)
-    if not (glo > 0 > ghi):
+    if not (glo > 0 >= ghi):
         raise ArithmeticError(f"bisection bracket broken: g({lo}) = {glo}, g({hi}) = {ghi}")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if _gamma_gap(mid) > 0:
-            lo = mid
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        gmid = _gamma_gap(mid)
+        if gmid > 0:
+            lo, glo = mid, gmid
         else:
             hi = mid
-    p0 = 0.5 * (lo + hi)
-    residual = abs(_gamma_gap(p0))
-    if residual > tol:
-        raise ArithmeticError(f"residual {residual} exceeds {tol}")
-    ps = np.linspace(0.005, 1.995, 399)
-    signs = np.sign([_gamma_gap(float(p)) for p in ps])
-    changes = int(np.sum(signs[:-1] * signs[1:] < 0))
-    if changes != 1:
-        raise ArithmeticError(f"expected exactly one sign change in (0, 2), found {changes}")
-    return CriticalExponentResult(value=p0, residual=residual,
-                                  bracket=(lo, hi), sign_changes=changes)
+    return CriticalExponentResult(value=lo, residual=glo, bracket=(lo, hi))
 
 
 _TWO_WEIGHT_NOTE = (
@@ -526,12 +518,23 @@ _TWO_WEIGHT_NOTE = (
 )
 
 
-def two_weight_threshold(L: int) -> VerdictReport:
-    """Zero-mass threshold forced by two equal weights on the L1 bound.
+def two_weight_closed_form(L: int) -> float:
+    """1 - 3L(2 - sqrt(2)) / (2L + 1), the two-weight threshold for the step
+    law on {1..L}; sqrt(2) - 1 at L = 1."""
+    return 1.0 - 3.0 * L * (2.0 - math.sqrt(2.0)) / (2 * L + 1)
 
-    Takes E|Y_1 + Y_2| exactly and bisects (rational midpoints) the
-    squared comparison (E|S|)^2 >= 2 (E|Y|)^2, then matches the closed
-    form 1 - 3L(2 - sqrt(2)) / (2L + 1); at L = 1 this is sqrt(2) - 1.
+
+def two_weight_threshold(L: int) -> VerdictReport:
+    """Zero-mass threshold forced by two equal weights on the L1 bound,
+    certified at c = `two_weight_closed_form(L)`.
+
+    With m = E|X| and a = E|X_1 + X_2| < 2m for the law X of Y given
+    Y != 0, E|Y_1 + Y_2| - sqrt(2) E|Y| = (1 - rho)(a - sqrt(2) m +
+    rho (2m - a)) rises through one zero in rho, and E|Y_1 + Y_2| +
+    sqrt(2) E|Y| > 0: so the exact g(rho) = (E|Y_1 + Y_2|)^2 - 2 (E|Y|)^2
+    changes sign once.  The verdict passes iff g(lo) < 0 < g(hi) at the
+    rationals lo, hi = c -+ 1e-13 (`threshold` is their midpoint c); the
+    margin is min(-g(lo), g(hi)).
     """
     if not (isinstance(L, int) and L >= 1):
         raise ValueError(f"L must be an integer >= 1, got {L!r}")
@@ -542,23 +545,15 @@ def two_weight_threshold(L: int) -> VerdictReport:
         ey = first_abs_moment(law)
         return n1 * n1 - 2 * ey * ey
 
-    lo, hi = Fraction(0), Fraction(7, 8)
-    if not (gap(lo) < 0 < gap(hi)):
-        raise ArithmeticError("two-weight comparison bracket broken")
-    while hi - lo > Fraction(1, 10**13):
-        mid = (lo + hi) / 2
-        if gap(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    threshold = float((lo + hi) / 2)
-    closed_form = 1.0 - 3.0 * L * (2.0 - math.sqrt(2.0)) / (2 * L + 1)
-    agreement = abs(threshold - closed_form)
+    closed_form = two_weight_closed_form(L)
+    lo = Fraction(closed_form) - Fraction(1, 10**13)
+    hi = Fraction(closed_form) + Fraction(1, 10**13)
+    margin = float(min(-gap(lo), gap(hi)))
     return VerdictReport(
         claim="two-weight-zero-mass-threshold",
         params={"L": L},
-        passed=agreement <= 1e-10,
-        margin=-agreement,
-        witness={"threshold": threshold, "closed_form": closed_form,
-                 "direction_note": _TWO_WEIGHT_NOTE},
+        passed=margin > 0,
+        margin=margin,
+        witness={"threshold": closed_form, "closed_form": closed_form,
+                 "bracket": [float(lo), float(hi)], "direction_note": _TWO_WEIGHT_NOTE},
     )

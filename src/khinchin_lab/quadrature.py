@@ -197,7 +197,7 @@ def _panel_cap(max_evals: int) -> int:
     """Most 15-point panels a budget of `max_evals` points covers; a budget
     below one panel raises ValueError."""
     if max_evals < 15:
-        raise ValueError(f"max_evals must cover one 15-point panel, got {max_evals!r}")
+        raise ValueError(f"the evaluation budget must cover one 15-point panel, got {max_evals!r}")
     return max_evals // 15
 
 

@@ -52,6 +52,7 @@ from .exactprob import (
 from .reports import VerdictReport
 
 __all__ = [
+    "COMPARISON_ZERO_MASS_LIMIT",
     "MajorizationPair",
     "SchurVerdict",
     "comparison_threshold_by_L",
@@ -515,15 +516,20 @@ def comparison_threshold_by_L(L: int) -> float:
     With m_k = E|X|^k of the block X uniform on {1..L} and g3 = ||G||_3^3,
     zero mass rho gives the gap g3 ((1 - rho) m2)^(3/2) - (1 - rho) m3,
     which is positive exactly when sqrt(1 - rho) > m3 / (g3 m2^(3/2)): the
-    threshold is max(0, 1 - (m3 / (g3 m2^(3/2)))^2).
+    threshold is max(0, 1 - (m3 / (g3 m2^(3/2)))^2).  The moments are the
+    closed forms m2 = (L+1)(2L+1)/6 and m3 = L(L+1)^2/4, each the correctly
+    rounded quotient of two integers.
     """
     if not (isinstance(L, int) and L >= 1):
         raise ValueError(f"L must be an integer >= 1, got {L!r}")
-    js = np.arange(1, L + 1, dtype=float)
-    m3 = float(np.sum(js**3)) / L
-    m2 = float(np.sum(js**2)) / L
+    m3 = L * (L + 1) ** 2 / 4
+    m2 = (L + 1) * (2 * L + 1) / 6
     ratio = m3 / (gaussian_norm(3) ** 3 * m2**1.5)
     return max(0.0, 1.0 - ratio * ratio)
+
+
+#: the limit of `comparison_threshold_by_L` as L grows
+COMPARISON_ZERO_MASS_LIMIT = 1.0 - 27.0 * math.pi / 128.0
 
 
 def comparison_zero_mass_limit(l_values: Sequence[int] = (10, 100, 1000, 10000),
@@ -535,7 +541,7 @@ def comparison_zero_mass_limit(l_values: Sequence[int] = (10, 100, 1000, 10000),
     within `tol` of the analytic limit at the largest size; raises if the
     sweep disagrees.
     """
-    limit = 1.0 - 27.0 * math.pi / 128.0
+    limit = COMPARISON_ZERO_MASS_LIMIT
     thresholds = [comparison_threshold_by_L(L) for L in l_values]
     for prev, cur in zip(thresholds, thresholds[1:]):
         if cur >= prev:

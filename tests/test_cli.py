@@ -182,6 +182,8 @@ def test_budget_below_one_panel_exits_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.count("\n") == 1
         assert err.startswith("error: ") and "15-point panel" in err
+        # the message speaks of the option's budget, not the library's keyword
+        assert "budget" in err and "max_evals" not in err
     code, out, err = run_cli(capsys, "haagerup", "--weights", "1", "--rho0", "1/2", "--L", "1",
                              "--budget", "10")
     report = json.loads(out)

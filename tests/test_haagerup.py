@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from khinchin_lab import quadrature
+from khinchin_lab import haagerup, quadrature
 from khinchin_lab.exactprob import (
     StepLawParams,
     convolve_weighted,
@@ -589,11 +589,25 @@ def test_concavity_grid_validation():
 
 # ---------------------------------------------------------------- exponent
 
+def _gamma_gap(p, lib=math):
+    return lib.gamma((p + 1) / 2) - lib.sqrt(lib.pi) / 2
+
+
 def test_critical_exponent_bracket_and_residual():
     res = solve_critical_exponent()
     assert 1.8469 < res.value < 1.8476
     assert res.residual <= 1e-12
-    assert res.sign_changes == 1
+    # the certificate: adjacent floats, the gap positive below and not above
+    lo, hi = res.bracket
+    assert res.value == lo and math.nextafter(lo, 2) == hi
+    assert _gamma_gap(lo) > 0 >= _gamma_gap(hi)
+    # the float gap is a few ulps off and its slope is only about -0.0165,
+    # so the 40-digit root lies within 4 ulps of the gap over that slope
+    # (about 120 ulps of p; it is 25 ulps below lo)
+    with mpmath.workdps(40):
+        p0 = mpmath.findroot(lambda p: _gamma_gap(p, mpmath), 1.85)
+        slope = mpmath.diff(lambda p: _gamma_gap(p, mpmath), p0)
+        assert abs(p0 - lo) <= 4 * math.ulp(math.sqrt(math.pi) / 2) / abs(slope)
     # independent root via scipy
     root = scipy.optimize.brentq(
         lambda p: scipy.special.gamma((p + 1) / 2) - math.sqrt(math.pi) / 2,
@@ -602,7 +616,53 @@ def test_critical_exponent_bracket_and_residual():
     assert res.value == pytest.approx(1.84741633608, abs=1e-9)
 
 
+def test_critical_exponent_does_not_scan(monkeypatch):
+    calls, gap = [], haagerup._gamma_gap
+
+    def spy(p):
+        calls.append(p)
+        return gap(p)
+
+    monkeypatch.setattr(haagerup, "_gamma_gap", spy)
+    solve_critical_exponent()
+    assert len(calls) <= 60
+
+
 # ---------------------------------------------------------------- two weights
+
+def test_two_weight_threshold_takes_two_exact_sums(monkeypatch):
+    calls, moment = [], haagerup.sum_abs_moment
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return moment(*args, **kwargs)
+
+    monkeypatch.setattr(haagerup, "sum_abs_moment", spy)
+    assert two_weight_threshold(1).passed
+    assert len(calls) == 2
+
+
+def test_two_weight_bracket_signs_by_enumeration():
+    # the squared gap (E|Y1 + Y2|)^2 - 2 (E|Y|)^2, enumerated with no
+    # library code, is negative at the bracket's lower end, positive at its upper
+    for L in range(1, 41):
+        rep = two_weight_threshold(L)
+        assert rep.passed and rep.margin > 0
+        for end, positive in zip(rep.witness["bracket"], (False, True)):
+            atoms = oracles.step_atoms(Fraction(end), L)
+            n1 = oracles.enum_abs_moment([1, 1], [atoms, atoms], 1)
+            ey = oracles.enum_abs_moment([1], [atoms], 1)
+            gap = n1 * n1 - 2 * ey * ey
+            assert gap != 0 and (gap > 0) == positive, (L, end)
+
+
+@pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+def test_two_weight_verdict_fails_off_the_closed_form(monkeypatch, shift):
+    closed_form = haagerup.two_weight_closed_form
+    monkeypatch.setattr(haagerup, "two_weight_closed_form", lambda L: closed_form(L) + shift)
+    rep = two_weight_threshold(1)
+    assert not rep.passed and rep.margin < 0
+
 
 def test_two_weight_threshold_l1():
     rep = two_weight_threshold(1)
