@@ -141,7 +141,7 @@ def _cmd_constants(config: RunConfig) -> int:
         "gaussian_norm": gaussian_norm(float(p["p"])),
         "critical_exponent": crit.value,
         "critical_residual": crit.residual,
-        "schur_zero_mass_threshold": Fraction(1, 2),
+        "schur_zero_mass_threshold": schur.SCHUR_ZERO_MASS_THRESHOLD,
         "comparison_zero_mass_limit": schur.COMPARISON_ZERO_MASS_LIMIT,
         "two_weight_threshold_closed_form": haagerup.two_weight_closed_form(p["L"]),
         "sigma": sigma,
@@ -316,7 +316,7 @@ def _cmd_necessity(config: RunConfig) -> int:
         claim="critical-exponent", params={"tol": 1e-12},
         passed=crit.residual <= 1e-12, margin=1e-12 - crit.residual,
         witness={"value": crit.value, "residual": crit.residual,
-                 "bracket": list(crit.bracket)}))
+                 "bracket": list(crit.bracket), "width": crit.bracket[1] - crit.bracket[0]}))
     return _finish(reports, config)
 
 

@@ -253,13 +253,6 @@ class SymmetricAtomLaw:
         # int / int is correctly rounded, as float(Fraction(num, den)) is
         return np.array([num / self._den for num in self._nums.tolist()])
 
-    def to_json(self) -> str:
-        return law_to_json(self)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricAtomLaw":
-        return cls(_atoms_from_json(text))
-
 
 @dataclass(frozen=True)
 class StepLawParams:
@@ -341,7 +334,7 @@ def _atoms_from_json(text: str):
 
 
 def law_from_json(text: str) -> SymmetricAtomLaw:
-    return SymmetricAtomLaw.from_json(text)
+    return SymmetricAtomLaw(_atoms_from_json(text))
 
 
 def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:

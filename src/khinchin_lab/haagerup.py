@@ -53,7 +53,6 @@ __all__ = [
     "haagerup_function",
     "l1_l2_verdict",
     "power_charfn_period",
-    "product_charfn_period",
     "product_charfn_period_degree",
     "solve_critical_exponent",
     "two_weight_closed_form",
@@ -145,13 +144,6 @@ def product_charfn_period_degree(law: SymmetricAtomLaw, weights) -> tuple[float,
     num, gv = math.gcd(*nums), math.gcd(*values)
     return (float(2 * math.pi / Fraction(num * gv, den * law._scale)),
             sum(nums) // num * (max(values) // gv))
-
-
-def product_charfn_period(law: SymmetricAtomLaw, weights) -> float | None:
-    """Common period of t -> prod_j charfn(a_j t), or None if a weight or
-    support value is not rational: the period of `product_charfn_period_degree`."""
-    periodic = product_charfn_period_degree(law, weights)
-    return None if periodic is None else periodic[0]
 
 
 def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
@@ -333,9 +325,12 @@ def _half_mass_companion(law: SymmetricAtomLaw) -> SymmetricAtomLaw:
     return make_symmetric_law(Fraction(1, 2), pos)
 
 
+#: the power-floor verdict's slack for quadrature error in its checks
+_POWER_FLOOR_SLACK = 1e-6
+
+
 def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
                               tol: float = 1e-8,
-                              margin_tol: float = 1e-6,
                               max_evals: int = 10_000_000) -> VerdictReport:
     """Check F(s) >= F(1) = E|Y| on a grid, replaying the proof chain.
 
@@ -381,7 +376,7 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
     return VerdictReport(
         claim="charfn-power-floor",
         params={"zero_mass": rho, "s_grid": [float(s) for s in s_grid]},
-        passed=all(row["converged"] for row in rows) and worst >= -margin_tol,
+        passed=all(row["converged"] for row in rows) and worst >= -_POWER_FLOOR_SLACK,
         margin=worst,
         witness={"rows": rows, "first_abs_moment": f1},
     )
@@ -555,5 +550,6 @@ def two_weight_threshold(L: int) -> VerdictReport:
         passed=margin > 0,
         margin=margin,
         witness={"threshold": closed_form, "closed_form": closed_form,
-                 "bracket": [float(lo), float(hi)], "direction_note": _TWO_WEIGHT_NOTE},
+                 "bracket": [float(lo), float(hi)], "width": float(hi - lo),
+                 "direction_note": _TWO_WEIGHT_NOTE},
     )

@@ -237,12 +237,8 @@ def _integrate_family(f, intervals, tol: float, max_evals: int) -> list[Quadratu
         return []
 
     sizes = [x.size for x in lefts]
-    if len(members) == 1:  # no copies: about 3 us of a 50 us one-member call
-        a, b = lefts[0], rights[0]
-        owners = np.zeros(15 * a.size, dtype=np.intp)  # the member of each seed node
-    else:
-        a, b = np.concatenate(lefts + rights).reshape(2, -1)
-        owners = np.arange(len(members)).repeat([15 * n for n in sizes])
+    a, b = np.concatenate(lefts + rights).reshape(2, -1)
+    owners = np.arange(len(members)).repeat([15 * n for n in sizes])  # member of each seed node
     chunks = [_gk15(lambda xs: f(xs, owners[15 * i:15 * (i + PANEL_CHUNK)]),
                     a[i:i + PANEL_CHUNK], b[i:i + PANEL_CHUNK])
               for i in range(0, a.size, PANEL_CHUNK)]

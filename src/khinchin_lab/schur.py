@@ -15,10 +15,14 @@ sum over the k^n atom patterns P (one atom per coordinate) of
 mass(P) |sum_i sqrt(a_i) v_(P_i)|^p.  One batched kernel,
 `_schur_objectives`, evaluates it for many weight vectors at once in blocks
 of at most _PATTERN_BLOCK entries, so each verdict makes one call for all
-its objectives (Marshall, Olkin and Arnold, Inequalities: Theory of
-Majorization and Its Applications, 2nd ed., 2011, Thm 3.A.4, for the
-criterion).  While k^n <= SUPPORT_GUARD the patterns are enumerated; past
-it each vector takes the exact convolution, which merges equal sums.
+its objectives.  The same kernel gives the exact partials
+dPhi/da_i = p / (2 sqrt(a_i)) E[X_i sgn(S) |S|^(p-1)] from the same
+patterns, which the pairwise criterion and the zero-mass threshold read
+with no finite-difference step (Marshall, Olkin and Arnold, Inequalities:
+Theory of Majorization and Its Applications, 2nd ed., 2011, Thm 3.A.4, for
+the criterion).  While k^n <= SUPPORT_GUARD the patterns are enumerated;
+past it each vector takes the exact convolution, which merges equal sums,
+and each partial the merged law of the other n - 1 summands.
 """
 from __future__ import annotations
 
@@ -54,6 +58,7 @@ from .reports import VerdictReport
 __all__ = [
     "COMPARISON_ZERO_MASS_LIMIT",
     "MajorizationPair",
+    "SCHUR_ZERO_MASS_THRESHOLD",
     "SchurVerdict",
     "comparison_threshold_by_L",
     "comparison_zero_mass_limit",
@@ -128,9 +133,12 @@ class SchurVerdict:
     trials: int = 0
 
 
-def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
+def _schur_objectives(rows, law: SymmetricAtomLaw, p: float,
+                      partials: bool = False) -> np.ndarray:
     """Phi(a) = E|sum_i sqrt(a_i) X_i|^p, i.i.d. X_i ~ law, for each row a
-    of the (B, n) squared weights `rows`.
+    of the (B, n) squared weights `rows`; with `partials`, the (B, n)
+    partials dPhi/da_i = p / (2 sqrt(a_i)) E[X_i sgn(S) |S|^(p-1)] instead,
+    for positive rows.
 
     With k atoms, Phi(a) is the sum over the k^n atom patterns P of
     mass(P) |sum_i sqrt(a_i) v_(P_i)|^p.  The patterns split into head x
@@ -140,9 +148,13 @@ def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
     masses made for that block only, so memory stays bounded whatever k^n
     is.  Each row sums a block's terms with one `.sum` and adds the block
     sums in pattern order; the blocks depend on k and n alone, so a row's
-    value does not depend on the rows batched with it.  Past k^n >
-    SUPPORT_GUARD each row takes the convolution and float moment instead,
-    which merge equal sums.
+    value does not depend on the rows batched with it.  The partials divide
+    the same terms by S, giving g(P) = mass(P) sgn(S) |S|^(p-1) (0 where
+    S = 0); g is summed per head pattern and per tail pattern, and
+    `_atom_sums` weights those sums with each coordinate's atom.  Past
+    k^n > SUPPORT_GUARD each row's value takes the convolution and float
+    moment instead, which merge equal sums, and its partials
+    `_merged_partials`.
     """
     a = np.array(rows, dtype=float)
     if a.ndim != 2:
@@ -158,6 +170,8 @@ def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
     vals, masses = law.values_float(), law.masses_float()
     k = len(vals)
     if k**n > SUPPORT_GUARD:
+        if partials:
+            return np.array([_merged_partials(row, law, float(p)) for row in roots.tolist()])
         return np.array([abs_moment(convolve_weighted([law] * n, row), p).value
                          for row in roots.tolist()])
     pf = float(p)
@@ -171,13 +185,16 @@ def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
     tail_mass = np.ones(1)
     for _ in range(t):
         tail_mass = np.multiply.outer(tail_mass, masses).ravel()
-    out = np.empty(n_rows)
+    out = np.empty((n_rows, n) if partials else n_rows)
     for r0 in range(0, n_rows, row_block):
         w = roots[r0:r0 + row_block]
         tail = np.zeros((len(w), 1))
         for i in range(head, n):
             tail = (tail[:, :, None] + w[:, i, None, None] * vals).reshape(len(w), -1)
         total = np.zeros(len(w))
+        if partials:  # sums of g(P) per head pattern and per tail pattern
+            by_head = np.zeros((len(w), head_size))
+            by_tail = np.zeros((len(w), tail_size))
         for j0 in range(0, head_size, per_block):
             js = np.arange(j0, min(j0 + per_block, head_size))
             sums = np.zeros((len(w), len(js)))
@@ -186,10 +203,47 @@ def _schur_objectives(rows, law: SymmetricAtomLaw, p: float) -> np.ndarray:
                 digit = js // k**(head - 1 - i) % k
                 sums += w[:, i, None] * vals[digit]
                 mass *= masses[digit]
-            terms = np.abs(sums[:, :, None] + tail[:, None, :]) ** pf
+            s = sums[:, :, None] + tail[:, None, :]
+            terms = np.abs(s) ** pf
             terms *= np.multiply.outer(mass, tail_mass)
-            total += terms.reshape(len(w), -1).sum(axis=1)
+            if partials:
+                g = np.divide(terms, s, out=np.zeros_like(terms), where=s != 0)
+                by_head[:, js] = g.sum(axis=2)
+                by_tail += g.sum(axis=1)
+            else:
+                total += terms.reshape(len(w), -1).sum(axis=1)
+        if partials:
+            total = np.hstack((_atom_sums(by_head, vals, head), _atom_sums(by_tail, vals, t)))
         out[r0:r0 + row_block] = total
+    return out * (pf / (2 * roots)) if partials else out
+
+
+def _atom_sums(g: np.ndarray, vals: np.ndarray, d: int) -> np.ndarray:
+    """(B, d) sums over the k^d patterns P of g[:, P] times the atom of
+    digit i of P, for each digit i, most significant first."""
+    k = len(vals)
+    out = np.empty((len(g), d))
+    for i in range(d):
+        by_atom = g.reshape(len(g), k**i, k, -1).swapaxes(1, 2).reshape(len(g), k, -1).sum(axis=2)
+        out[:, i] = (by_atom * vals).sum(axis=1)
+    return out
+
+
+def _merged_partials(roots: list[float], law: SymmetricAtomLaw, p: float) -> list[float]:
+    """dPhi/da_i for one row from merged laws: with R_i the convolution of
+    the other n - 1 summands, E[X_i g(S)] = sum_x m_x x E g(c_i x + R_i)
+    for g(y) = sgn(y) |y|^(p-1), one convolution per coordinate and memory
+    of one merged law."""
+    vals, masses = law.values_float(), law.masses_float()
+    out = []
+    for i, c in enumerate(roots):
+        rest = convolve_weighted([law] * (len(roots) - 1), roots[:i] + roots[i + 1:])
+        r_vals, r_masses = rest.values_float(), rest.masses_float()
+        e = 0.0
+        for x, m in zip(vals.tolist(), masses.tolist()):
+            y = c * x + r_vals
+            e += m * x * float(np.sign(y) * np.abs(y) ** (p - 1) @ r_masses)
+        out.append(p / (2 * c) * e)
     return out
 
 
@@ -202,34 +256,26 @@ def schur_objective(a: Sequence, law: SymmetricAtomLaw, p: float) -> float:
     return float(_schur_objectives([[float(x) for x in a]], law, p)[0])
 
 
-def ostrowski_check(a: Sequence, law: SymmetricAtomLaw, p: float,
-                    h: float | None = None, tol: float = 1e-9) -> VerdictReport:
+#: the criterion's slack for rounding in the partials
+_OSTROWSKI_SLACK = 1e-9
+
+
+def ostrowski_check(a: Sequence, law: SymmetricAtomLaw, p: float) -> VerdictReport:
     """Pairwise derivative criterion for Schur-concavity at the point a.
 
     For every index pair with a_i < a_j the criterion needs
-    dPhi/da_i - dPhi/da_j >= 0; partials are central differences with
-    step h (default 1e-6 times the smallest weight).  The margin is the
-    worst pairwise difference.
+    dPhi/da_i - dPhi/da_j >= 0.  The partials are the closed form
+    p / (2 sqrt(a_i)) E[X_i sgn(S) |S|^(p-1)], summed over the atom patterns
+    or, past SUPPORT_GUARD, over merged laws (`_schur_objectives`).  The
+    margin is the worst pairwise difference; the verdict passes at margin
+    >= -1e-9.
     """
     af = [float(x) for x in a]
     if len(af) < 2:
         raise ValueError("need at least two weights")
     if any(x <= 0 for x in af):
         raise ValueError("squared weights must be positive for the derivative check")
-    amin = min(af)
-    if h is None:
-        h = 1e-6 * amin
-    if not (0 < h < 0.25 * amin):
-        raise ValueError(f"step h = {h!r} too large for smallest weight {amin!r}")
-    rows = []
-    for i in range(len(af)):
-        hi = af.copy()
-        lo = af.copy()
-        hi[i] += h
-        lo[i] -= h
-        rows += [hi, lo]
-    phi = _schur_objectives(rows, law, p).tolist()
-    partials = [(up - dn) / (2 * h) for up, dn in zip(phi[0::2], phi[1::2])]
+    partials = _schur_objectives([af], law, p, partials=True)[0].tolist()
     worst = math.inf
     witness = None
     for i in range(len(af)):
@@ -243,11 +289,10 @@ def ostrowski_check(a: Sequence, law: SymmetricAtomLaw, p: float,
         worst = 0.0  # all weights equal; criterion holds by symmetry
     return VerdictReport(
         claim="ostrowski-criterion",
-        params={"a": list(af), "p": p, "h": h, "zero_mass": law.zero_mass},
-        passed=worst >= -tol,
+        params={"a": list(af), "p": p, "zero_mass": law.zero_mass},
+        passed=worst >= -_OSTROWSKI_SLACK,
         margin=worst,
-        witness={"pair": list(witness) if witness else None,
-                 "partials": [float(x) for x in partials]},
+        witness={"pair": list(witness) if witness else None, "partials": partials},
     )
 
 
@@ -476,31 +521,31 @@ def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> 
     return out
 
 
+#: the zero mass past which the three-point objective stops being Schur-concave
+SCHUR_ZERO_MASS_THRESHOLD = Fraction(1, 2)
+
+
 def schur_zero_mass_threshold() -> Fraction:
     """Zero-mass threshold 1/2 for Schur-concavity of the three-point
     objective.
 
     The two-weight objective Phi(lam) = E|sqrt(lam) X_1 + sqrt(1-lam) X_2|^p
     has d Phi / d lam -> (3/2)(1-r)(1-2r) as lam -> 0 for p = 3 and zero
-    mass r, so concavity forces r <= 1/2.  Confirms the derivative sign on
-    both sides numerically before returning; raises if the sign pattern
-    disagrees.
+    mass r, so concavity forces r <= 1/2.  Confirms the sign of the slope
+    dPhi/da_1 - dPhi/da_2, from the exact partials, on both sides before
+    returning; raises if the sign pattern disagrees.
     """
     lams = (1e-4, 1e-5)
     for rho, expect_pos in ((Fraction(2, 5), True), (Fraction(3, 5), False)):
-        rows = []
-        for lam in lams:
-            h = 0.25 * lam
-            rows += [[lam + h, 1 - lam - h], [lam - h, 1 - lam + h]]
-        phi = _schur_objectives(rows, make_symmetric_three_point(rho), 3).tolist()
-        for lam, up, dn in zip(lams, phi[0::2], phi[1::2]):
-            h = 0.25 * lam
-            slope = (up - dn) / (2 * h)
+        grads = _schur_objectives([[lam, 1 - lam] for lam in lams],
+                                  make_symmetric_three_point(rho), 3, partials=True)
+        for lam, (d1, d2) in zip(lams, grads.tolist()):
+            slope = d1 - d2
             if (slope > 0) != expect_pos:
                 raise ArithmeticError(
                     f"derivative sign at zero mass {rho}, lam = {lam} is {slope}, "
                     f"expected {'positive' if expect_pos else 'negative'}")
-    return Fraction(1, 2)
+    return SCHUR_ZERO_MASS_THRESHOLD
 
 
 def make_symmetric_three_point(rho0) -> SymmetricAtomLaw:

@@ -59,6 +59,22 @@ def enum_abs_moment_float(weights, atom_lists, p):
     return total
 
 
+def enum_schur_gradient(a, atoms, p):
+    """Partials dPhi/da_i = p / (2 sqrt(a_i)) E[X_i sgn(S) |S|^(p-1)] of
+    Phi(a) = E|S|^p, S = sum_i sqrt(a_i) X_i, X_i i.i.d. over `atoms`, by
+    enumerating the atom tuples in floats."""
+    roots = [math.sqrt(float(x)) for x in a]
+    atoms = [(float(v), float(m)) for v, m in atoms]
+    terms = [[] for _ in roots]
+    for combo in product(atoms, repeat=len(roots)):
+        s = math.fsum(r * v for r, (v, _) in zip(roots, combo))
+        mass = math.prod(m for _, m in combo)
+        g = math.copysign(mass * abs(s) ** (p - 1), s) if s != 0 else 0.0
+        for i, (v, _) in enumerate(combo):
+            terms[i].append(g * v)
+    return [p / (2 * r) * math.fsum(t) for r, t in zip(roots, terms)]
+
+
 def enum_distribution(weights, atom_lists):
     """Exact value -> mass table of sum_i w_i X_i (rational inputs)."""
     table = {}

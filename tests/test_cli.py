@@ -148,6 +148,21 @@ def test_verify_ostrowski_failure_exit_code(capsys):
     assert "failed claims:" in err
 
 
+def test_verify_ostrowski_readme_partials_match_enumeration(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--claim", "ostrowski",
+                        "--rho0", "3/5", "--weights", "0.001,0.999")
+    want = oracles.enum_schur_gradient([0.001, 0.999], oracles.step_atoms(Fraction(3, 5), 1), 3)
+    assert json.loads(out)["witness"]["partials"] == [float(f"{x:.12g}") for x in want]
+
+
+def test_verify_ostrowski_past_the_support_guard(capsys):
+    # 3^15 atom patterns exceed SUPPORT_GUARD; the partials take merged laws
+    code, out, err = run_cli(capsys, "verify", "--claim", "ostrowski", "--rho0", "1/4",
+                             "--L", "1", "--weights", ",".join(["0.1"] * 14 + ["0.2"]))
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_all_battery(capsys):
     code, out, err = run_cli(capsys, "verify", "--rho0", "1/2", "--trials", "25")
     reports = json.loads(out)
@@ -316,6 +331,14 @@ def test_necessity_battery(capsys):
     assert claims == ["schur-zero-mass-threshold", "comparison-zero-mass-limit",
                       "two-weight-zero-mass-threshold", "critical-exponent"]
     assert all(r["pass"] for r in reports)
+
+
+def test_necessity_prints_the_bracket_widths(capsys):
+    # at 12 printed digits each bracket's ends read as one number
+    _, out, _ = run_cli(capsys, "necessity", "--L", "1")
+    widths = {r["claim"]: r["witness"].get("width") for r in json.loads(out)}
+    assert widths["two-weight-zero-mass-threshold"] == 2e-13
+    assert widths["critical-exponent"] == 2.22044604925e-16
 
 
 # ---------------------------------------------------------------- sweep

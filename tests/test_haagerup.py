@@ -29,7 +29,6 @@ from khinchin_lab.haagerup import (
     haagerup_function,
     l1_l2_verdict,
     power_charfn_period,
-    product_charfn_period,
     product_charfn_period_degree,
     solve_critical_exponent,
     two_weight_threshold,
@@ -88,10 +87,10 @@ def test_charfn_complement_keeps_relative_accuracy(law):
 # ---------------------------------------------------------------- periods
 
 def test_product_period():
-    assert product_charfn_period(COIN, [1, 1]) == pytest.approx(2 * math.pi)
-    assert product_charfn_period(COIN, [Fraction(1, 2), Fraction(1, 3)]) == \
+    assert product_charfn_period_degree(COIN, [1, 1])[0] == pytest.approx(2 * math.pi)
+    assert product_charfn_period_degree(COIN, [Fraction(1, 2), Fraction(1, 3)])[0] == \
         pytest.approx(12 * math.pi)
-    assert product_charfn_period(COIN, [1 / math.sqrt(2), 1.0]) is None
+    assert product_charfn_period_degree(COIN, [1 / math.sqrt(2), 1.0]) is None
 
 
 def test_power_period():
@@ -200,7 +199,6 @@ def test_degree_is_the_top_frequency(law, weights, copies):
     top = max(abs(s) for s in oracles.enum_distribution(weights, [atoms] * len(weights)))
     assert (top / omega).denominator == 1
     assert got == (oracles.product_charfn_period(law, weights), int(top / omega))
-    assert got[0] == product_charfn_period(law, weights)
 
 
 def test_exact_periodic_sum_counted_by_hand():
@@ -209,7 +207,7 @@ def test_exact_periodic_sum_counted_by_hand():
     law = make_step_law(StepLawParams(Fraction(1, 2), 2))
     w = [Fraction(3, 5), Fraction(2, 3), Fraction(1), Fraction(1, 2)]
     assert product_charfn_period_degree(law, w) == (oracles.product_charfn_period(law, w), 166)
-    assert product_charfn_period(law, w) == pytest.approx(60 * math.pi, rel=1e-15)
+    assert product_charfn_period_degree(law, w)[0] == pytest.approx(60 * math.pi, rel=1e-15)
     res = first_abs_moment_integral(w, law)
     assert res.evaluations == 83 and res.tail is None and res.converged
     exact = float(oracles.enum_abs_moment(w, [oracles.step_atoms(Fraction(1, 2), 2)] * 4, 1))
@@ -709,6 +707,8 @@ def _laws(draw):
        s=st.floats(1.0, 20.0))
 def test_grid_readers_equal_the_fraction_readers(law, weights, s):
     assert CharFn.from_law(law) == oracles.charfn_from_law(law)
-    assert product_charfn_period(law, weights) == oracles.product_charfn_period(law, weights)
+    periodic = product_charfn_period_degree(law, weights)
+    assert (None if periodic is None else periodic[0]) == \
+        oracles.product_charfn_period(law, weights)
     assert power_charfn_period(law, s) == oracles.power_charfn_period(law, s)
     assert _infer_step_params(law) == oracles.infer_step_params(law)

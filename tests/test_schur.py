@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import mpmath
 from hypothesis import given, settings
@@ -92,23 +93,33 @@ def test_pattern_kernel_matches_enumeration(rows, rho0, L, p):
 @pytest.mark.parametrize("block", [None, 1, 16, 100])
 def test_pattern_kernel_rows_independent_of_their_batch(monkeypatch, block):
     # tiny blocks split rows and patterns (head x tail) into many pieces;
-    # every row must still give the bits of its own one-row call
+    # every row must still give the bits of its own one-row call, for the
+    # values and for the partials
     if block is not None:
         monkeypatch.setattr(schur, "_PATTERN_BLOCK", block)
     law = make_step_law(StepLawParams(Fraction(1, 4), 1))
+    atoms = oracles.step_atoms(Fraction(1, 4), 1)
     rng = random.Random(11)
     rows = [[rng.uniform(0.01, 1.0) for _ in range(5)] for _ in range(9)]
-    alone = [schur_objective(row, law, 3.5) for row in rows]
-    assert _schur_objectives(rows, law, 3.5).tolist() == alone
     order = list(range(9))
     rng.shuffle(order)
-    shuffled = _schur_objectives([rows[i] for i in order], law, 3.5).tolist()
-    assert shuffled == [alone[i] for i in order]
-    assert _schur_objectives(rows[2:5], law, 3.5).tolist() == alone[2:5]
-    for row, phi in zip(rows, alone):
-        want = oracles.enum_abs_moment_float([math.sqrt(x) for x in row],
-                                             [oracles.step_atoms(Fraction(1, 4), 1)] * 5, 3.5)
-        assert phi == pytest.approx(want, rel=1e-13)
+    for partials in (False, True):
+        def kernel(batch):
+            return _schur_objectives(batch, law, 3.5, partials=partials).tolist()
+
+        alone = [kernel([row])[0] for row in rows]
+        assert kernel(rows) == alone
+        assert kernel([rows[i] for i in order]) == [alone[i] for i in order]
+        assert kernel(rows[2:5]) == alone[2:5]
+        for row, got in zip(rows, alone):
+            if partials:
+                want = oracles.enum_schur_gradient(row, atoms, 3.5)
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                want = oracles.enum_abs_moment_float([math.sqrt(x) for x in row],
+                                                     [atoms] * 5, 3.5)
+                assert got == schur_objective(row, law, 3.5)
+                assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_pattern_kernel_blocks_large_pattern_sets():
@@ -160,9 +171,42 @@ def test_ostrowski_fails_above_threshold():
     assert list(rep.witness["pair"]) == [0, 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(2, 5).flatmap(lambda n: st.lists(st.floats(0.01, 2.0), min_size=n,
+                                                      max_size=n)),
+       rho0=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(3, 5)]),
+       L=st.integers(1, 2), p=st.sampled_from([3, 3.5, 4, 5]))
+def test_ostrowski_partials_match_enumeration(a, rho0, L, p):
+    rep = ostrowski_check(a, make_step_law(StepLawParams(rho0, L)), p)
+    want = oracles.enum_schur_gradient(a, oracles.step_atoms(rho0, L), p)
+    assert rep.witness["partials"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho0, L", [(Fraction(1, 3), 1), (Fraction(0), 3)])
+def test_ostrowski_partials_at_p4_closed_form(rho0, L):
+    # Phi = sum_i a_i^2 E Y^4 + 3 sum_(i != j) a_i a_j (E Y^2)^2 at p = 4
+    a = [0.2, 0.3, 0.5, 0.15]
+    m2, m4 = (float(sum(m * v**k for v, m in oracles.step_atoms(rho0, L))) for k in (2, 4))
+    rep = ostrowski_check(a, make_step_law(StepLawParams(rho0, L)), 4)
+    want = [2 * x * m4 + 6 * (sum(a) - x) * m2 * m2 for x in a]
+    assert rep.witness["partials"] == pytest.approx(want, rel=1e-12)
+
+
+def test_partials_past_the_support_guard_match_the_patterns(monkeypatch):
+    # with the guard below 3^4 the rows take one merged law per coordinate
+    law = make_step_law(StepLawParams(Fraction(1, 4), 1))
+    rows = [[0.1, 0.25, 0.3, 0.7], [0.2, 0.2, 0.5, 0.5]]
+    patterns = _schur_objectives(rows, law, 3.5, partials=True)
+    calls = []
+    monkeypatch.setattr(schur, "SUPPORT_GUARD", 3**4 - 1)
+    monkeypatch.setattr(schur, "convolve_weighted",
+                        lambda *args: calls.append(args) or convolve_weighted(*args))
+    merged = _schur_objectives(rows, law, 3.5, partials=True)
+    assert len(calls) == 8 and all(len(laws) == 3 for laws, _ in calls)
+    np.testing.assert_allclose(merged, patterns, rtol=1e-12)
+
+
 def test_ostrowski_step_validation():
-    with pytest.raises(ValueError):
-        ostrowski_check([0.5, 0.5], COIN, 3, h=0.2)
     with pytest.raises(ValueError):
         ostrowski_check([0.5], COIN, 3)
     with pytest.raises(ValueError):
