@@ -550,14 +550,18 @@ def build_config(argv) -> RunConfig | None:
         raise CliInputError("rho0 must lie in [0, 1]")
     if params["budget"] is not None and params["budget"] < 1:
         raise CliInputError("budget must be positive")
+    if not (0.0 < params["tol"] < math.inf):
+        raise CliInputError("tol must be positive and finite")
     if subcommand == "table1":
         params["tangents"] = opts["tangents"]
     if subcommand == "verify":
         params["claim"] = opts["claim"]
         params["a"] = _parse_rational(opts["a"], "a")
     if subcommand == "sweep":
-        params["s_min"] = opts["s_min"]
-        params["s_max"] = opts["s_max"]
+        for option, dest in (("s-min", "s_min"), ("s-max", "s_max")):
+            if not math.isfinite(opts[dest]):
+                raise CliInputError(f"{option} must be finite")
+            params[dest] = opts[dest]
     return RunConfig(
         subcommand=subcommand,
         params=params,

@@ -25,13 +25,13 @@ own under the support guard, and combine the two half laws
 (`_moment_of_pair`): at odd p by sorted prefix sums of their powers, at
 even p from their moments, so neither the law of S nor its guard applies;
 only each half's does.
-The module also carries the Gaussian reference quantities (norms, shifted
-moments, plus-part second moments) that the comparison certificates are
-checked against.
+The ratios ||S_n||_p / ||S_n||_2 of equal-weight sums for n = 1..n_max
+(`equal_weight_ratio_sequence`) take the same routes, sharing the work
+across n, and `gaussian_norm` is the reference they approach.  The module
+is a leaf: it imports only the standard library and numpy.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,29 +40,22 @@ from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.special import erfc
-
-from .quadrature import integrate_adaptive
 
 __all__ = [
-    "GaussianRef",
     "MomentMethod",
     "MomentValue",
     "StepLawParams",
     "SymmetricAtomLaw",
     "abs_moment",
     "convolve_weighted",
+    "equal_weight_ratio_sequence",
+    "first_abs_moment",
     "gaussian_norm",
-    "law_from_json",
-    "law_to_json",
     "make_step_law",
     "make_symmetric_law",
     "moment_root",
-    "plus_part_second_moment",
     "ratio_root",
     "second_moment",
-    "shifted_gaussian_moment",
-    "sigma_of",
     "sum_abs_moment",
     "sum_even_moment",
     "weighted_sum_norm",
@@ -120,22 +113,6 @@ def _canonical_value(v) -> Scalar:
     if isinstance(v, float):
         return v
     raise ValueError(f"unsupported atom value {v!r}")
-
-
-def _scalar_str(v: Scalar) -> str:
-    if isinstance(v, Fraction):
-        return str(v)  # "num" or "num/den", both reparse exactly
-    return repr(float(v))
-
-
-def _parse_scalar(text: str) -> Scalar:
-    s = text.strip()
-    if "/" in s:
-        return Fraction(s)
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        return float(s)
 
 
 def _check_atoms(pairs: Iterable[tuple[Scalar, Fraction]]):
@@ -225,12 +202,13 @@ class SymmetricAtomLaw:
     def __len__(self) -> int:
         return len(self._values)
 
-    def _positive_grid(self) -> tuple[list, list]:
-        """Grid values and mass numerators of the positive atoms as Python
-        numbers: integers over `_scale` (floats when it is None) and over
-        `_den`."""
+    def positive_grid(self) -> tuple[list, list, int, int]:
+        """(values, nums, scale, den) of the positive atoms as Python
+        numbers: values over `scale` (integers, or floats over 1 for a law
+        that is not rational) and mass numerators over `den`."""
         half = (len(self._values) + 1) // 2
-        return self._values[half:].tolist(), self._nums[half:].tolist()
+        return (self._values[half:].tolist(), self._nums[half:].tolist(), self._scale or 1,
+                self._den)
 
     @property
     def merge_shift(self) -> float:
@@ -303,38 +281,6 @@ def make_symmetric_law(zero_mass, positive_atoms: Mapping[Scalar, Scalar]) -> Sy
     if zero > 0:
         atoms.append((Fraction(0), zero))
     return SymmetricAtomLaw(tuple(atoms))
-
-
-def law_to_json(law) -> str:
-    """Serialize a law as {"atoms": [{"v": ..., "m": ...}, ...]}.
-
-    Rational fields use "num/den" strings and round-trip bit-exactly; float
-    values use repr, which round-trips through Python's float parser.
-    """
-    payload = {
-        "atoms": [{"v": _scalar_str(v), "m": str(m)} for v, m in law.atoms]
-    }
-    return json.dumps(payload, separators=(",", ":"))
-
-
-def _atoms_from_json(text: str):
-    data = json.loads(text)
-    if not isinstance(data, dict) or "atoms" not in data:
-        raise ValueError("law JSON must be an object with an 'atoms' array")
-    pairs = []
-    for entry in data["atoms"]:
-        v = _parse_scalar(entry["v"])
-        m = entry["m"]
-        if isinstance(m, str):
-            m = Fraction(m)
-        else:
-            m = _as_fraction(m, "mass")
-        pairs.append((v, m))
-    return pairs
-
-
-def law_from_json(text: str) -> SymmetricAtomLaw:
-    return SymmetricAtomLaw(_atoms_from_json(text))
 
 
 def _exact_power_sum(law: SymmetricAtomLaw, k: int) -> Fraction:
@@ -412,11 +358,6 @@ def _even_moment_prefixes(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Sc
                    for i in range(len(moments))]
         den *= law._den if exact else 1
         yield [(x, den * scale ** (2 * i)) for i, x in enumerate(moments)]
-
-
-def sigma_of(law) -> float:
-    """sqrt(E X^2); for the uniform block law this is sqrt((L+1)(2L+1)/6)."""
-    return math.sqrt(float(second_moment(law)))
 
 
 def first_abs_moment(law: SymmetricAtomLaw) -> Scalar:
@@ -627,21 +568,15 @@ def moment_root(m: MomentValue, p) -> float:
     return ratio_root(m.exact.numerator, m.exact.denominator, int(p))
 
 
-def abs_moment(law: SymmetricAtomLaw, p, mode: str = "auto") -> MomentValue:
+def abs_moment(law: SymmetricAtomLaw, p) -> MomentValue:
     """E |X|^p for a law.
 
-    p >= 1.  Rational support with integer p gives an exact rational result
-    (mode "float" forces the floating route, used for cross-checks); any
-    other case is an exactly-rounded float sum with the rounding bound
+    p >= 1.  Rational support with integer p gives an exact rational result;
+    any other case is an exactly-rounded float sum with the rounding bound
     n_atoms * eps * sum(mass * |value|^p).
     """
     pf = _moment_order(p)
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    can_exact = law.is_rational and pf == int(pf)
-    if mode == "exact" and not can_exact:
-        raise ValueError("exact moment requires rational support and integer p")
-    if can_exact and mode != "float":
+    if law.is_rational and pf == int(pf):
         return _exact_moment(_exact_power_sum(law, int(pf)))
     vals = law.values_float()
     masses = law.masses_float()
@@ -685,6 +620,45 @@ def sum_abs_moment(laws: Sequence[SymmetricAtomLaw], weights: Sequence[Scalar],
                                                  convolve_weighted(laws[k:], weights[k:]),
                                                  int(pf)))
     return abs_moment(convolve_weighted(laws, weights), p)
+
+
+def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> list[float]:
+    """Ratios ||S_n||_p / ||S_n||_2 for equal weights, n = 1..n_max.
+
+    Under the Gaussian comparison bound these increase toward the Gaussian
+    norm, approaching it as the CLT kicks in.  E S_n^2 = n E X^2, and at
+    even p up to _RECURSION_MAX_P on a rational law E S_n^p too, come from
+    the summands' moments.  At other integer p on a rational law the prefix
+    laws S_k = S_(k-1) + X are built only up to S_ceil(n_max/2), and
+    E |S_n|^p is the pair kernel on S_ceil(n/2) and S_floor(n/2)
+    (`_moment_of_pair`).  Other cases build every prefix law up to S_n_max.
+    Exact moments take their roots by `ratio_root`, so a moment past the
+    float range still gives its norm.  A law with E X^2 = 0 raises
+    ValueError.
+    """
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    pf = _moment_order(p)
+    exact = law.is_rational and pf == int(pf)
+    recursion = exact and pf % 2 == 0 and pf <= _RECURSION_MAX_P
+    prefixes = _even_moment_prefixes([law] * n_max, [1] * n_max, int(pf) if recursion else 2)
+    sums = [make_symmetric_law(1, {})]  # sums[k] is S_k, from S_0 = 0
+    for _ in range(0 if recursion else (n_max + 1) // 2 if exact else n_max):
+        sums.append(convolve_weighted([sums[-1], law], [1, 1]))
+    out = []
+    for n, moments in enumerate(prefixes, start=1):
+        num, den = moments[1]
+        if num == 0:
+            raise ValueError("law is degenerate at zero")
+        if recursion:
+            norm = ratio_root(*moments[-1], int(pf))
+        elif exact:
+            m_p = _moment_of_pair(sums[(n + 1) // 2], sums[n // 2], int(pf))
+            norm = ratio_root(m_p.numerator, m_p.denominator, int(pf))
+        else:
+            norm = abs_moment(sums[n], p).value ** (1.0 / pf)
+        out.append(norm / math.sqrt(num / den))
+    return out
 
 
 def _split_point(sizes: Sequence[int]) -> tuple[int, int]:
@@ -812,86 +786,3 @@ def gaussian_norm(p, sigma: float = 1.0) -> float:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     log_norm = 0.5 * math.log(2.0) + (math.lgamma((pf + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / pf
     return sigma * math.exp(log_norm)
-
-
-def shifted_gaussian_moment(shift: float, sigma: float, p, rel_tol: float = 1e-12) -> float:
-    """E |shift + G|^p for G centred Gaussian with standard deviation sigma.
-
-    Quadrature over a truncated window whose discarded tail is certified, by
-    Cauchy-Schwarz against the Gaussian tail mass, to be below rel_tol of
-    the result.
-    """
-    pf = float(p)
-    if not (pf >= 1.0):
-        raise ValueError(f"p must satisfy p >= 1, got {p!r}")
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
-    # Standardize: E|shift + G|^p = sigma^p E|b + Z|^p with b = |shift|/sigma,
-    # so the integral handed to quadrature is bounded below by ||Z||_1 = 0.79.
-    b = abs(float(shift)) / sigma
-    # E (b + |Z|)^(2p) <= 2^(2p-1) (b^(2p) + E|Z|^(2p)) controls the tail.
-    m2p = gaussian_norm(2.0 * pf) ** (2.0 * pf)
-    sq = math.sqrt(2.0 ** (2.0 * pf - 1.0) * (b ** (2.0 * pf) + m2p))
-    inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def integrand(zs):
-        return np.abs(b + zs) ** pf * np.exp(-0.5 * zs * zs) * inv_sqrt2pi
-
-    for radius in (10.0, 12.0, 14.0, 16.0):
-        bps = (-b,) if -radius < -b < radius else ()
-        res = integrate_adaptive(integrand, -radius, radius, tol=rel_tol / 4.0, breakpoints=bps)
-        tail = sq * math.sqrt(erfc(radius / math.sqrt(2.0)))
-        if tail <= rel_tol * max(res.value, 1e-300) / 2.0:
-            res.require_converged()
-            return res.value * sigma**pf
-    raise ArithmeticError("could not certify the truncated tail at the requested tolerance")
-
-
-@dataclass(frozen=True)
-class GaussianRef:
-    """Centred Gaussian reference with standard deviation sigma."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
-
-
-def _gaussian_plus_part(s2: float, a):
-    """E (G^2 - a)_+ for G centred Gaussian with variance s2, elementwise in
-    the thresholds a >= 0 (a float or an array).
-
-    The complementary-error closed form
-    s2 * 2 * (sqrt(t) pdf(sqrt(t)) + (1 - t) Q(sqrt(t))) at t = a/s2,
-    where Q is the standard upper tail.
-    """
-    t = a / s2
-    rt = np.sqrt(t)
-    pdf = np.exp(-0.5 * t) / math.sqrt(2.0 * math.pi)
-    upper = 0.5 * erfc(rt / math.sqrt(2.0))
-    return s2 * 2.0 * (rt * pdf + (1.0 - t) * upper)
-
-
-def plus_part_second_moment(source, a) -> Scalar:
-    """E (X^2 - a)_+ for a discrete law (exact when rational) or GaussianRef,
-    the latter by the closed form of `_gaussian_plus_part`."""
-    if isinstance(a, float):
-        af = a
-    else:
-        af = float(_as_fraction(a, "threshold a"))
-    if af < 0:
-        raise ValueError(f"threshold a must be nonnegative, got {a!r}")
-    if isinstance(source, GaussianRef):
-        return float(_gaussian_plus_part(source.sigma**2, af))
-    if source.is_rational and not isinstance(a, float):
-        a_ex = _as_fraction(a, "threshold a")
-        total = Fraction(0)
-        for v, m in source.atoms:
-            gap = v * v - a_ex
-            if gap > 0:
-                total += m * gap
-        return total
-    vals = source.values_float()
-    gaps = np.maximum(vals * vals - af, 0.0)
-    return float(np.dot(source.masses_float(), gaps))

@@ -84,8 +84,7 @@ class CharFn:
     @classmethod
     def from_law(cls, law: SymmetricAtomLaw) -> "CharFn":
         # int / int is correctly rounded, as float(Fraction) is
-        values, nums = law._positive_grid()
-        scale, den = law._scale or 1, law._den
+        values, nums, scale, den = law.positive_grid()
         return cls(
             frequencies=tuple(v / scale for v in values),
             pair_masses=tuple(num / den for num in nums),
@@ -135,14 +134,14 @@ def product_charfn_period_degree(law: SymmetricAtomLaw, weights) -> tuple[float,
     """
     if not (law.is_rational and _all_rational(weights)):
         return None
-    values, _ = law._positive_grid()
+    values, _, scale, _ = law.positive_grid()
     rates = [a for a in weights if a != 0]
     if not (values and rates):
         return None
     den = math.lcm(*(a.denominator for a in rates))
     nums = [abs(a.numerator) * (den // a.denominator) for a in rates]
     num, gv = math.gcd(*nums), math.gcd(*values)
-    return (float(2 * math.pi / Fraction(num * gv, den * law._scale)),
+    return (float(2 * math.pi / Fraction(num * gv, den * scale)),
             sum(nums) // num * (max(values) // gv))
 
 
@@ -150,10 +149,10 @@ def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
     """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
     if not law.is_rational:
         return None
-    values, _ = law._positive_grid()
+    values, _, scale, _ = law.positive_grid()
     if not values:
         return None
-    g = Fraction(math.gcd(*values), law._scale)
+    g = Fraction(math.gcd(*values), scale)
     return 2.0 * math.pi * math.sqrt(float(s)) / float(g)
 
 

@@ -8,10 +8,13 @@ Three groups of tools:
 * the exact piecewise-linear two-point inequality in rational arithmetic,
   whose best multiplicative constant is 1;
 * the plus-part gap between the Gaussian and uniform-block second moments,
-  with its closed-form slopes at integer-square breakpoints, the slope and
-  tangent tables, and the scaled endpoint function h(t) used for large
-  blocks, whose defining integral and its derivative are taken in closed
-  form through erf.
+  with the Gaussian plus-part E (G^2 - a)_+ and its closed-form slopes at
+  integer-square breakpoints, the slope and tangent tables, and the scaled
+  endpoint function h(t) used for large blocks, whose defining integral and
+  its derivative are taken in closed form through erf.
+
+Its three erfc calls (the Gaussian plus-part and the two slope helpers)
+are the package's only use of scipy.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from numbers import Rational
 import numpy as np
 from scipy.special import erfc as _erfc_vec
 
-from .exactprob import _gaussian_plus_part
 from .reports import VerdictReport, sig12
 
 __all__ = [
@@ -272,6 +274,21 @@ TANGENT_LOWER_BOUNDS: dict[int, float] = {2: 0.2, 3: 0.7, 4: 1.2, 5: 1.9, 6: 2.6
 
 def _sigma2(L: int) -> Fraction:
     return Fraction((L + 1) * (2 * L + 1), 6)
+
+
+def _gaussian_plus_part(s2: float, a):
+    """E (G^2 - a)_+ for G centred Gaussian with variance s2, elementwise in
+    the thresholds a >= 0 (a float or an array).
+
+    The complementary-error closed form
+    s2 * 2 * (sqrt(t) pdf(sqrt(t)) + (1 - t) Q(sqrt(t))) at t = a/s2,
+    where Q is the standard upper tail.
+    """
+    t = a / s2
+    rt = np.sqrt(t)
+    pdf = np.exp(-0.5 * t) / math.sqrt(2.0 * math.pi)
+    upper = 0.5 * _erfc_vec(rt / math.sqrt(2.0))
+    return s2 * 2.0 * (rt * pdf + (1.0 - t) * upper)
 
 
 def plus_part_gap(L: int, a) -> float:

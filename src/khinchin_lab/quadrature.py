@@ -69,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureError",
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_khinchin_tail",
@@ -96,10 +95,6 @@ SEED_CAP = 20_000
 NODE_CAP = 15 * SEED_CAP
 
 
-class QuadratureError(RuntimeError):
-    """Raised by callers that require a converged quadrature result."""
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value of an integral together with an error estimate.
@@ -120,14 +115,6 @@ class QuadratureResult:
     evaluations: int
     converged: bool = True
     tail: tuple[float, float, float] | None = None
-
-    def require_converged(self) -> "QuadratureResult":
-        if not self.converged:
-            raise QuadratureError(
-                f"quadrature did not converge: value={self.value!r} "
-                f"abs_error={self.abs_error!r} after {self.evaluations} evaluations"
-            )
-        return self
 
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1], ascending order.
@@ -213,8 +200,8 @@ def _integrate_family(f, intervals, tol: float, max_evals: int) -> list[Quadratu
     own budget of `max_evals` points; the module docstring gives the order
     of the integrand calls.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
     cap = _panel_cap(max_evals)
     lefts, rights, members = [], [], []
     for lo, hi, breakpoints in intervals:
@@ -370,8 +357,8 @@ def integrate_periodic_tails(
     integrand points of each member; below one panel (15 points) it raises
     ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
     if len(rate_hints) != len(periods):
         raise ValueError("need one rate hint per period")
     panels = _panel_cap(max_evals)
@@ -500,8 +487,8 @@ def integrate_khinchin_tail(
     integrand points; a Gauss-Kronrod run that exhausts it returns what it
     integrated (plus the tail term at the T reached) flagged unconverged.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
     if period_hint is None:
         if degree is not None:
             raise ValueError("degree needs period_hint")

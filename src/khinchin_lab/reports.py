@@ -25,8 +25,9 @@ def sig12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _clean(value: Any) -> Any:
-    """Normalize a value for report emission."""
+def to_jsonable(value: Any) -> Any:
+    """A value normalized for report emission: 12-digit floats, rationals
+    as "num/den" strings, containers and arrays as lists and dicts."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Rational) and not isinstance(value, int):
@@ -39,11 +40,11 @@ def _clean(value: Any) -> Any:
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
+        return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
+        return [to_jsonable(v) for v in value]
     if hasattr(value, "tolist"):
-        return _clean(value.tolist())
+        return to_jsonable(value.tolist())
     return str(value)
 
 
@@ -65,16 +66,11 @@ class VerdictReport:
     def to_obj(self) -> dict:
         return {
             "claim": self.claim,
-            "params": _clean(self.params),
+            "params": to_jsonable(self.params),
             "pass": bool(self.passed),
             "margin": sig12(self.margin),
-            "witness": _clean(self.witness),
+            "witness": to_jsonable(self.witness),
         }
-
-
-def to_jsonable(value: Any) -> Any:
-    """Public cleaning hook: 12-digit floats, rationals as "num/den"."""
-    return _clean(value)
 
 
 def to_json(value: Any) -> str:

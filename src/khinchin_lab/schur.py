@@ -8,7 +8,9 @@ provides the objective, the pairwise derivative criterion, randomized
 majorization sampling with exact rational weight pairs, the exact
 two-point reduction of the derivative criterion, the Gaussian comparison
 verdict, and the zero-mass thresholds that mark where each mechanism
-stops working.
+stops working.  The ratios ||S_n||_p / ||S_n||_2 of equal-weight sums,
+`equal_weight_ratio_sequence`, are computed in `exactprob` beside the
+moment routes they take and imported here under the same name.
 
 Phi needs no merged law: for a law with k atoms and n weights it is the
 sum over the k^n atom patterns P (one atom per coordinate) of
@@ -39,17 +41,12 @@ from .exactprob import (
     SUPPORT_GUARD,
     SymmetricAtomLaw,
     StepLawParams,
-    _RECURSION_MAX_P,
-    _even_moment_prefixes,
-    _moment_of_pair,
-    _moment_order,
     abs_moment,
     convolve_weighted,
+    equal_weight_ratio_sequence,
     gaussian_norm,
     make_step_law,
-    make_symmetric_law,
     moment_root,
-    ratio_root,
     sum_abs_moment,
     sum_even_moment,
 )
@@ -355,8 +352,7 @@ def _draw_pair(trial_seed: int, n: int) -> MajorizationPair:
 
 
 def _infer_step_params(law: SymmetricAtomLaw) -> tuple[Fraction, int] | None:
-    values, nums = law._positive_grid()
-    unit = law._scale or 1
+    values, nums, unit, _ = law.positive_grid()
     if values != [unit * k for k in range(1, len(values) + 1)]:
         return None
     if len(set(nums)) != 1:
@@ -483,42 +479,6 @@ def verify_gaussian_comparison(weights: Sequence, laws: Sequence[SymmetricAtomLa
         margin=margin,
         witness={"norm_p": n_p, "norm_2": n_2, "gaussian_norm": c_p},
     )
-
-
-def equal_weight_ratio_sequence(law: SymmetricAtomLaw, p: float, n_max: int) -> list[float]:
-    """Ratios ||S_n||_p / ||S_n||_2 for equal weights, n = 1..n_max.
-
-    Under the Gaussian comparison bound these increase toward the Gaussian
-    norm, approaching it as the CLT kicks in.  E S_n^2 = n E X^2, and at
-    even p up to _RECURSION_MAX_P on a rational law E S_n^p too, come from
-    the summands' moments.  At other integer p on a rational law the prefix
-    laws S_k = S_(k-1) + X are built only up to S_ceil(n_max/2), and
-    E |S_n|^p is the pair kernel on S_ceil(n/2) and S_floor(n/2)
-    (`_moment_of_pair`).  Other cases build every prefix law up to S_n_max.
-    Exact moments take their roots by `ratio_root`, so a moment past the
-    float range still gives its norm.
-    """
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    pf = _moment_order(p)
-    exact = law.is_rational and pf == int(pf)
-    recursion = exact and pf % 2 == 0 and pf <= _RECURSION_MAX_P
-    prefixes = _even_moment_prefixes([law] * n_max, [1] * n_max, int(pf) if recursion else 2)
-    sums = [make_symmetric_law(1, {})]  # sums[k] is S_k, from S_0 = 0
-    for _ in range(0 if recursion else (n_max + 1) // 2 if exact else n_max):
-        sums.append(convolve_weighted([sums[-1], law], [1, 1]))
-    out = []
-    for n, moments in enumerate(prefixes, start=1):
-        if recursion:
-            norm = ratio_root(*moments[-1], int(pf))
-        elif exact:
-            m_p = _moment_of_pair(sums[(n + 1) // 2], sums[n // 2], int(pf))
-            norm = ratio_root(m_p.numerator, m_p.denominator, int(pf))
-        else:
-            norm = abs_moment(sums[n], p).value ** (1.0 / pf)
-        num, den = moments[1]
-        out.append(norm / math.sqrt(num / den))
-    return out
 
 
 #: the zero mass past which the three-point objective stops being Schur-concave

@@ -202,12 +202,16 @@ def argparse_config(argv):
             return "reject"
         if params["budget"] is not None and params["budget"] < 1:
             return "reject"
+        if not (0.0 < ns.tol < math.inf):
+            return "reject"
         if ns.subcommand == "table1":
             params["tangents"] = ns.tangents
         if ns.subcommand == "verify":
             params["claim"] = ns.claim
             params["a"] = cli._parse_rational(ns.a, "a")
         if ns.subcommand == "sweep":
+            if not (math.isfinite(ns.s_min) and math.isfinite(ns.s_max)):
+                return "reject"
             params["s_min"] = ns.s_min
             params["s_max"] = ns.s_max
     except cli.CliInputError:

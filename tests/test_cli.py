@@ -393,6 +393,31 @@ def test_bad_inputs_exit_two(capsys):
     assert run_cli(capsys, "verify", "--claim", "two-point", "--a", "7/4")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a NaN tol used to fail the verdicts (exit 1) or hit a float-to-int
+    # conversion; an infinite one certified nothing and still passed
+    (["verify", "--claim", "concavity", "--L", "1", "--tol", "nan"],
+     "tol must be positive and finite"),
+    (["sweep", "--rho0", "1/2", "--L", "1", "--s-min", "1", "--s-max", "3", "--n", "3",
+      "--tol", "nan"], "tol must be positive and finite"),
+    (["haagerup", "--weights", "1.5,0.3", "--tol", "nan"], "tol must be positive and finite"),
+    (["verify", "--claim", "power-floor", "--rho0", "1/2", "--L", "2", "--tol", "inf"],
+     "tol must be positive and finite"),
+    (["verify", "--claim", "concavity", "--L", "1", "--tol", "inf"],
+     "tol must be positive and finite"),
+    (["verify", "--claim", "concavity", "--L", "1", "--tol", "0"],
+     "tol must be positive and finite"),
+    (["sweep", "--rho0", "1/2", "--s-min", "nan", "--s-max", "3", "--n", "3"],
+     "s-min must be finite"),
+    (["sweep", "--rho0", "1/2", "--s-min", "1", "--s-max", "inf", "--n", "3"],
+     "s-max must be finite"),
+    # E X^2 = 0: the ratio sequence names the law instead of dividing by zero
+    (["constants", "--rho0", "1", "--n", "3"], "law is degenerate at zero"),
+])
+def test_refused_inputs_exit_two_with_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- determinism
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -590,7 +615,6 @@ def test_table_parser_matches_the_argparse_front_end(argv):
         got = "reject"
     if got is None:
         got = "help"
-    # repr: a NaN --tol is equal in both, though not to itself
     assert repr(got) == repr(want), argv
 
 
@@ -598,7 +622,7 @@ def test_table_parser_matches_the_argparse_front_end(argv):
     ["verify", "--claim=schur", "--tr", "5", "--rho0", "x", "--rho0", "1/4", "--L=2"],
     ["sweep", "--s-min", "-1", "--s-max=3", "--n", "-2", "--p", "-.5"],
     ["table1", "--tangents", "--form", "json", "--out", "-"],
-    ["haagerup", "--weights", "1,1/3", "--tol", "nan"],
+    ["haagerup", "--weights", "1,1/3", "--tol", "1e-3"],
 ])
 def test_table_parser_on_accepted_argvs(argv):
     want = oracles.argparse_config(argv)

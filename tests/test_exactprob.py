@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 import oracles
 from khinchin_lab import exactprob
 from khinchin_lab.exactprob import (
     MERGE_RTOL,
-    GaussianRef,
     MomentMethod,
     StepLawParams,
     SymmetricAtomLaw,
@@ -21,20 +19,16 @@ from khinchin_lab.exactprob import (
     convolve_weighted,
     first_abs_moment,
     gaussian_norm,
-    law_from_json,
-    law_to_json,
     make_step_law,
     make_symmetric_law,
     moment_root,
-    plus_part_second_moment,
     ratio_root,
     second_moment,
-    shifted_gaussian_moment,
-    sigma_of,
     sum_abs_moment,
     sum_even_moment,
     weighted_sum_norm,
 )
+from khinchin_lab.lemmas import _gaussian_plus_part
 from khinchin_lab.schur import equal_weight_ratio_sequence
 
 rationals = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(4),
@@ -58,11 +52,6 @@ def test_step_law_moments_closed_forms():
         law = make_step_law(StepLawParams(rho0, L))
         assert first_abs_moment(law) == (1 - rho0) * (L + 1) / 2
         assert second_moment(law) == (1 - rho0) * Fraction((L + 1) * (2 * L + 1), 6)
-
-
-def test_sigma_at_zero_mass_zero():
-    law = make_step_law(StepLawParams(Fraction(0), 4))
-    assert sigma_of(law) == pytest.approx(math.sqrt(5 * 9 / 6), abs=1e-14)
 
 
 @given(rho0=st.fractions(0, 1, max_denominator=12), L=st.integers(1, 8))
@@ -98,25 +87,6 @@ def test_law_validation():
         make_symmetric_law(Fraction(1, 2), {-1: Fraction(1, 4)})
     with pytest.raises(ValueError):
         StepLawParams(Fraction(1, 2), 0)
-
-
-def test_json_round_trip_rational():
-    law = make_step_law(StepLawParams(Fraction(1, 3), 2))
-    back = law_from_json(law_to_json(law))
-    assert back.atoms == law.atoms
-
-
-def test_json_round_trip_float_values():
-    law = make_symmetric_law(Fraction(1, 2), {0.75: Fraction(1, 4)})
-    back = law_from_json(law_to_json(law))
-    assert back.atoms == law.atoms  # repr round-trips floats bit-exactly
-
-
-def test_json_round_trip_sum_law():
-    s = convolve_weighted([make_step_law(StepLawParams(Fraction(1, 2), 1))] * 2,
-                          [Fraction(1, 3), Fraction(2, 3)])
-    back = law_from_json(law_to_json(s))
-    assert back.atoms == s.atoms
 
 
 # ---------------------------------------------------------------- convolution
@@ -167,13 +137,14 @@ def test_float_weight_convolution_against_enumeration():
 
 
 def test_float_mode_agrees_with_exact_mode():
+    # the exact moment against a float sum over the same atoms
     law = make_step_law(StepLawParams(Fraction(1, 4), 2))
     s = convolve_weighted([law] * 3, [Fraction(2, 3), Fraction(1, 6), 1])
+    vals, masses = s.values_float(), s.masses_float()
     for p in (2, 4):
-        ex = abs_moment(s, p, mode="exact")
-        fl = abs_moment(s, p, mode="float")
-        assert fl.value == pytest.approx(ex.value, rel=1e-12)
-        assert fl.abs_error > 0
+        ex = abs_moment(s, p)
+        assert ex.method is MomentMethod.EXACT_RATIONAL
+        assert float(np.dot(masses, np.abs(vals) ** p)) == pytest.approx(ex.value, rel=1e-12)
 
 
 def test_big_mass_denominators_fall_back_to_objects():
@@ -651,8 +622,6 @@ def test_p_below_one_rejected():
     law = make_step_law(StepLawParams(Fraction(0), 1))
     with pytest.raises(ValueError):
         abs_moment(law, 0.5)
-    with pytest.raises(ValueError):
-        abs_moment(convolve_weighted([law], [0.5]), 3, mode="exact")
 
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
@@ -663,6 +632,15 @@ def test_non_finite_p_rejected(p):
                    lambda: equal_weight_ratio_sequence(law, p, 2)):
         with pytest.raises(ValueError, match="finite"):
             moment()
+
+
+@pytest.mark.parametrize("p", [3, 4, 3.5, 40])
+def test_ratio_sequence_of_the_zero_law_is_refused(p):
+    # every route (pair kernel, recursion, float prefix laws, pair kernel past
+    # the recursion) meets E S_n^2 = 0 and names it, rather than dividing by it
+    zero = make_symmetric_law(1, {})
+    with pytest.raises(ValueError, match="law is degenerate at zero"):
+        equal_weight_ratio_sequence(zero, p, 3)
 
 
 # ---------------------------------------------------------------- gaussian
@@ -680,39 +658,13 @@ def test_gaussian_norm_against_quadrature(p):
     assert gaussian_norm(p) ** p == pytest.approx(want, rel=1e-10, abs=10 * err)
 
 
-def test_shifted_gaussian_moment_values():
-    assert shifted_gaussian_moment(0.0, 1.0, 2) == pytest.approx(1.0, rel=1e-11)
-    assert shifted_gaussian_moment(0.0, 1.0, 3) == pytest.approx(
-        2 * math.sqrt(2) / math.sqrt(math.pi), rel=1e-11)
-    assert shifted_gaussian_moment(1e6, 1.0, 2) == pytest.approx(1e12 + 1.0, rel=1e-11)
-
-
-def test_shifted_gaussian_moment_against_quad():
-    a, sigma, p = 0.7, 1.3, 2.5
-
-    def f(x):
-        return abs(a + x) ** p * math.exp(-0.5 * (x / sigma) ** 2)
-
-    want, _ = quad(f, -16 * sigma, 16 * sigma, epsabs=1e-13, epsrel=1e-13, limit=400)
-    want /= sigma * math.sqrt(2 * math.pi)
-    assert shifted_gaussian_moment(a, sigma, p) == pytest.approx(want, rel=1e-10)
-
-
-def test_plus_part_second_moment_discrete():
-    law = make_step_law(StepLawParams(Fraction(0), 2))
-    assert plus_part_second_moment(law, 0) == Fraction(5, 2)
-    assert plus_part_second_moment(law, 1) == Fraction(3, 2)
-    assert plus_part_second_moment(law, Fraction(9, 2)) == 0
-    with pytest.raises(ValueError):
-        plus_part_second_moment(law, -1)
-
-
 def test_plus_part_second_moment_gaussian():
-    ref = GaussianRef(1.3)
-    assert plus_part_second_moment(ref, 0.0) == pytest.approx(1.3 ** 2, rel=1e-12)
+    # the closed form behind the dominance gap, E (G^2 - a)_+ at sigma = 1.3
+    s2 = 1.3 ** 2
+    assert _gaussian_plus_part(s2, 0.0) == pytest.approx(s2, rel=1e-12)
     for a in (0.3, 1.0, 2.7):
         want, err = oracles.gaussian_plus_part_quad(1.3, a)
-        assert plus_part_second_moment(ref, a) == pytest.approx(want, rel=1e-10, abs=10 * err)
+        assert _gaussian_plus_part(s2, a) == pytest.approx(want, rel=1e-10, abs=10 * err)
 
 
 # ---------------------------------------------------------------- roots past the float range

@@ -10,7 +10,6 @@ from khinchin_lab.exactprob import StepLawParams, make_step_law
 from khinchin_lab.haagerup import CHARFN_BLOCK, CharFn
 from khinchin_lab.quadrature import (
     PANEL_CHUNK,
-    QuadratureError,
     _GAUSS_W,
     _KRONROD_W,
     _KRONROD_X,
@@ -310,11 +309,21 @@ def test_bad_interval_rejected():
         integrate_adaptive(lambda x: x, 0.0, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tol_outside_positive_finite_rejected(tol):
+    # a NaN tol fails every comparison, so it must be refused, not refined against
+    for route in (lambda: integrate_adaptive(lambda x: x, 0.0, 1.0, tol=tol),
+                  lambda: integrate_periodic_tails(lambda t, m: 1.0 - np.cos(t), [2 * math.pi],
+                                                   tol, rate_hints=[1.0]),
+                  lambda: integrate_khinchin_tail(lambda t: 1.0 - np.cos(t), 2 * math.pi, tol,
+                                                  degree=1)):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            route()
+
+
 def test_budget_exhaustion_flags_nonconvergence():
     res = integrate_adaptive(np.sin, 0.0, 10.0, tol=1e-14, max_evals=60)
     assert not res.converged
-    with pytest.raises(QuadratureError):
-        res.require_converged()
 
 
 def test_seed_panels_fit_the_budget():

@@ -73,7 +73,7 @@ def test_objective_validation():
 def _convolution_objective(a, law, p):
     """Phi(a) by the merged law of the weighted sum, the reference route."""
     weights = [math.sqrt(float(x)) for x in a]
-    return abs_moment(convolve_weighted([law] * len(a), weights), p, mode="float").value
+    return abs_moment(convolve_weighted([law] * len(a), weights), p).value
 
 
 @settings(max_examples=60, deadline=None)
