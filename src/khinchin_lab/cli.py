@@ -30,6 +30,7 @@ from .exactprob import (
     make_step_law,
     second_moment,
 )
+from .quadrature import convergence_margin
 from .reports import VerdictReport, format_reports, sig12, to_json, to_jsonable
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_config", "main", "parse_weights", "run"]
@@ -273,7 +274,7 @@ def _cmd_haagerup(config: RunConfig) -> int:
         claim="abs-moment-dual-route",
         params={"n": len(weights), "rho0": p["rho0"], "L": p["L"], "tol": p["tol"]},
         passed=bool(diff <= agree_tol and res.converged),
-        margin=agree_tol - diff,
+        margin=convergence_margin(agree_tol - diff, [res]),
         witness={"integral": res.value, "integral_err": res.abs_error,
                  "enumeration": enum, "difference": diff, "converged": res.converged,
                  "tail": None if res.tail is None else dict(zip(("T", "M", "K"), res.tail))},

@@ -773,16 +773,13 @@ def weighted_sum_norm(weights: Sequence[Scalar], law: SymmetricAtomLaw, p) -> Mo
     return MomentValue(root, m.method, err)
 
 
-def gaussian_norm(p, sigma: float = 1.0) -> float:
-    """p-norm of a centred Gaussian with standard deviation sigma, p > 0.
+def gaussian_norm(p) -> float:
+    """p-norm of a standard Gaussian, p > 0.
 
-    Equals sigma * 2^(1/2) * (Gamma((p+1)/2) / sqrt(pi))^(1/p); p = 2 gives
-    sigma back.
+    Equals 2^(1/2) * (Gamma((p+1)/2) / sqrt(pi))^(1/p); p = 2 gives 1.
     """
     pf = float(p)
     if not (pf > 0):
         raise ValueError(f"p must be positive, got {p!r}")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
     log_norm = 0.5 * math.log(2.0) + (math.lgamma((pf + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / pf
-    return sigma * math.exp(log_norm)
+    return math.exp(log_norm)

@@ -2,11 +2,12 @@
 
 For a symmetric law the first absolute moment has the integral form
 
-    E|S| = (2/pi) int_0^inf (1 - charfn_S(t)) / t^2 dt,
+    E|S| = (2/pi) int_0^inf (1 - phi_S(t)) / t^2 dt,
 
-and for unit-variance-free comparisons the relevant object is
+with phi_S the characteristic function of S, and for unit-variance-free
+comparisons the relevant object is
 
-    F(s) = (2/pi) int_0^inf (1 - |charfn_Y(t/sqrt(s))|^s) / t^2 dt,
+    F(s) = (2/pi) int_0^inf (1 - |phi_Y(t/sqrt(s))|^s) / t^2 dt,
 
 which interpolates the moment of a sum of s equal pieces.  When the mass
 at zero is at least 1/2 the characteristic function is nonnegative, F(1)
@@ -39,18 +40,21 @@ from .exactprob import (
     sum_abs_moment,
     sum_even_moment,
 )
-from .quadrature import QuadratureResult, integrate_khinchin_tail, integrate_periodic_tails
+from .quadrature import (
+    QuadratureResult,
+    convergence_margin,
+    integrate_khinchin_tail,
+    integrate_periodic_tails,
+)
 from .reports import VerdictReport
 
 __all__ = [
     "CharFn",
     "CriticalExponentResult",
-    "charfn",
     "charfn_power_integral",
     "charfn_power_integrals",
     "concavity_in_zero_mass",
     "first_abs_moment_integral",
-    "haagerup_function",
     "l1_l2_verdict",
     "power_charfn_period",
     "product_charfn_period_degree",
@@ -95,7 +99,7 @@ class CharFn:
         return 1.0 - self.complement(t)
 
     def complement(self, t):
-        """1 - charfn(t) = 4 sum_v m_v sin^2(v t / 2), which keeps its relative
+        """1 - phi(t) = 4 sum_v m_v sin^2(v t / 2), which keeps its relative
         accuracy as t -> 0 where 1 - (sum of cosines) would cancel."""
         ts = np.asarray(t, dtype=float)
         flat = ts.reshape(-1)
@@ -107,22 +111,13 @@ class CharFn:
         out = sums.reshape(ts.shape)
         return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
-    @property
-    def lower_bound(self) -> float:
-        """charfn >= zero_mass - (1 - zero_mass); nonnegative from mass 1/2 up."""
-        return 2.0 * self.zero_mass - 1.0
-
-
-def charfn(law: SymmetricAtomLaw, t):
-    return CharFn.from_law(law)(t)
-
 
 def _all_rational(xs) -> bool:
     return all(isinstance(x, Rational) and not isinstance(x, bool) for x in xs)
 
 
 def product_charfn_period_degree(law: SymmetricAtomLaw, weights) -> tuple[float, int] | None:
-    """Common period P of t -> prod_j charfn(a_j t) and its degree K as a
+    """Common period P of t -> prod_j phi(a_j t) and its degree K as a
     trigonometric polynomial in units of 2 pi/P, or None if a weight or
     support value is not rational (or no frequency is positive).
 
@@ -146,7 +141,7 @@ def product_charfn_period_degree(law: SymmetricAtomLaw, weights) -> tuple[float,
 
 
 def power_charfn_period(law: SymmetricAtomLaw, s: float) -> float | None:
-    """Period of t -> |charfn(t / sqrt(s))|^s for rational support."""
+    """Period of t -> |phi(t / sqrt(s))|^s for rational support."""
     if not law.is_rational:
         return None
     values, _, scale, _ = law.positive_grid()
@@ -163,7 +158,7 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
                               sum_law: SymmetricAtomLaw | None = None) -> QuadratureResult:
     """E|sum_j a_j Y_j| through the characteristic-function integral.
 
-    With rational support and weights, g(t) = 1 - prod_j charfn(a_j t) is a
+    With rational support and weights, g(t) = 1 - prod_j phi(a_j t) is a
     trigonometric polynomial of period P and degree K
     (`product_charfn_period_degree`), and the exact periodic sum of
     `quadrature.integrate_khinchin_tail` takes the integral from its
@@ -185,7 +180,7 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
     with sin, expm1, log1p and the power within 4 ulp (8u):
     - each argument a_j v t/2 is off by 10u (6u from the node; float(a_j),
       a_j t, v/scale and their product one rounding each), and sin^2 is
-      1-Lipschitz, so h_j = 1 - charfn(a_j t) = sum_v 4 m_v sin^2(a_j v t/2)
+      1-Lipschitz, so h_j = 1 - phi(a_j t) = sum_v 4 m_v sin^2(a_j v t/2)
       moves by at most 10u |a_j| t E|Y|; sin (16u once squared), the
       square, the masses and a dot of m nonnegative terms add (18 + m)u h_j,
       and h_j <= |a_j| t E|Y| since 1 - cos x <= |x|;
@@ -249,7 +244,7 @@ def first_abs_moment_integral(weights: Sequence, law: SymmetricAtomLaw,
 def charfn_power_integrals(law: SymmetricAtomLaw, s_grid: Sequence[float],
                            tol: float = 1e-8,
                            max_evals: int = 10_000_000) -> list[QuadratureResult]:
-    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt for each
+    """F(s) = (2/pi) int_0^inf (1 - |phi(t/sqrt(s))|^s) / t^2 dt for each
     s of s_grid, every s >= 1; one result per s.
 
     The law needs rational support (a ValueError otherwise): each integrand
@@ -297,21 +292,12 @@ def charfn_power_integrals(law: SymmetricAtomLaw, s_grid: Sequence[float],
 def charfn_power_integral(law: SymmetricAtomLaw, s: float,
                           tol: float = 1e-8,
                           max_evals: int = 10_000_000) -> QuadratureResult:
-    """F(s) = (2/pi) int_0^inf (1 - |charfn(t/sqrt(s))|^s) / t^2 dt, s >= 1:
+    """F(s) = (2/pi) int_0^inf (1 - |phi(t/sqrt(s))|^s) / t^2 dt, s >= 1:
     the one-element grid of `charfn_power_integrals`."""
     return charfn_power_integrals(law, [s], tol=tol, max_evals=max_evals)[0]
 
 
 _SIGN_LAW = make_step_law(StepLawParams(Fraction(0), 1))
-
-
-def haagerup_function(s: float, tol: float = 1e-8,
-                      max_evals: int = 10_000_000) -> QuadratureResult:
-    """F for the +-1 coin law: (2/pi) int (1 - |cos(t/sqrt(s))|^s)/t^2 dt.
-
-    Nondecreasing in s, with the closed value 1/sqrt(2) at s = 2.
-    """
-    return charfn_power_integral(_SIGN_LAW, s, tol=tol, max_evals=max_evals)
 
 
 def _half_mass_companion(law: SymmetricAtomLaw) -> SymmetricAtomLaw:
@@ -336,13 +322,14 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
     Needs zero mass >= 1/2 so the characteristic function is nonnegative.
     The chain: splitting off the extra zero mass against the mass-1/2
     companion gives F(s) >= 2(1-rho) F_half(s); writing the companion's
-    charfn as E cos^2(R t / 2) and applying the power-mean step gives
+    phi as E cos^2(R t / 2) and applying the power-mean step gives
     F_half(s) >= (E R / sqrt(2)) F_coin(2s); and F_coin(2s) >= 1/sqrt(2)
     lands on 2(1-rho) E R / 2 = E|Y|.
 
     Each witness row carries `converged` (all three of its integrals
     converged) and `abs_error` (the largest of their error estimates); the
-    verdict fails when any integral did not converge.  The integrals run as
+    verdict fails when any integral did not converge, its margin then below
+    0 (`quadrature.convergence_margin`).  The integrals run as
     three `charfn_power_integrals` families (the law, its companion, and
     the coin at 2s); `max_evals` caps the integrand points of each integral.
     """
@@ -376,7 +363,7 @@ def verify_charfn_power_floor(law: SymmetricAtomLaw, s_grid: Sequence[float],
         claim="charfn-power-floor",
         params={"zero_mass": rho, "s_grid": [float(s) for s in s_grid]},
         passed=all(row["converged"] for row in rows) and worst >= -_POWER_FLOOR_SLACK,
-        margin=worst,
+        margin=convergence_margin(worst, [r for family in families for r in family]),
         witness={"rows": rows, "first_abs_moment": f1},
     )
 
@@ -431,7 +418,8 @@ def concavity_in_zero_mass(L: int, s: float, rho_grid: Sequence,
 
     The witness has one row per grid point with the integral's value,
     `abs_error` and `converged`; the verdict fails when any integral did
-    not converge.  `max_evals` caps the integrand points of each integral."""
+    not converge, its margin then below 0 (`quadrature.convergence_margin`).
+    `max_evals` caps the integrand points of each integral."""
     rhos = [Fraction(r) for r in rho_grid]
     if len(rhos) < 3:
         raise ValueError("need at least 3 grid points")
@@ -463,7 +451,7 @@ def concavity_in_zero_mass(L: int, s: float, rho_grid: Sequence,
         claim="zero-mass-concavity",
         params={"L": L, "s": float(s), "grid": [float(r) for r in rhos]},
         passed=all(r.converged for r in results) and margin >= -dd_tol,
-        margin=margin,
+        margin=convergence_margin(margin, results),
         witness={"rows": [{"rho": rho, "value": r.value, "abs_error": r.abs_error,
                            "converged": bool(r.converged)} for rho, r in zip(rhos, results)],
                  "f_half": f_half},

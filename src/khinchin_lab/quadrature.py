@@ -70,6 +70,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureResult",
+    "convergence_margin",
     "integrate_adaptive",
     "integrate_khinchin_tail",
     "integrate_periodic_tails",
@@ -115,6 +116,17 @@ class QuadratureResult:
     evaluations: int
     converged: bool = True
     tail: tuple[float, float, float] | None = None
+
+
+def convergence_margin(margin: float, results) -> float:
+    """A verdict's margin net of its unconverged integrals: `margin` when
+    every result converged, else at most minus the largest abs_error of
+    those that did not, and below 0 even when that error is 0."""
+    errors = [r.abs_error for r in results if not r.converged]
+    if not errors:
+        return margin
+    worst = max(errors)
+    return min(-worst if worst > 0 else -math.ulp(0.0), margin)
 
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1], ascending order.

@@ -5,12 +5,12 @@ squared weights.  For the three-point laws with zero mass at most 1/2 and
 p >= 3 the objective is Schur-concave, so spreading the squared weights
 out (in the majorization order) can only increase the moment.  This module
 provides the objective, the pairwise derivative criterion, randomized
-majorization sampling with exact rational weight pairs, the exact
-two-point reduction of the derivative criterion, the Gaussian comparison
-verdict, and the zero-mass thresholds that mark where each mechanism
-stops working.  The ratios ||S_n||_p / ||S_n||_2 of equal-weight sums,
-`equal_weight_ratio_sequence`, are computed in `exactprob` beside the
-moment routes they take and imported here under the same name.
+majorization sampling with exact rational weight pairs, the Gaussian
+comparison verdict, and the zero-mass thresholds that mark where each
+mechanism stops working.  The ratios ||S_n||_p / ||S_n||_2 of
+equal-weight sums, `equal_weight_ratio_sequence`, are computed in
+`exactprob` beside the moment routes they take and imported here under the
+same name, which the CLI calls and the benchmark tracer wraps.
 
 Phi needs no merged law: for a law with k atoms and n weights it is the
 sum over the k^n atom patterns P (one atom per coordinate) of
@@ -32,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -59,13 +58,11 @@ __all__ = [
     "SchurVerdict",
     "comparison_threshold_by_L",
     "comparison_zero_mass_limit",
-    "equal_weight_ratio_sequence",
     "majorization_report",
     "majorization_sample_test",
     "ostrowski_check",
     "schur_objective",
     "schur_zero_mass_threshold",
-    "two_point_schur_check",
     "verify_gaussian_comparison",
 ]
 
@@ -382,83 +379,14 @@ def majorization_report(n: int, law: SymmetricAtomLaw, p: float,
     )
 
 
-def _signed_pow(y, q):
-    if isinstance(y, Fraction) and isinstance(q, int):
-        mag = y if y >= 0 else -y
-        val = mag**q
-        return val if y >= 0 else -val
-    yf = float(y)
-    return math.copysign(abs(yf) ** float(q), yf)
-
-
-def two_point_schur_check(a, b, rho0, w_law: SymmetricAtomLaw, p) -> VerdictReport:
-    """Exact two-point form of the derivative criterion.
-
-    With phi(x) = E F'(x + W) for F'(y) = p sgn(y)|y|^(p-1) and W the sum
-    of the remaining weighted coordinates, the criterion at weights
-    0 < a <= b reduces to
-
-        (1/rho0 - 1) [ (phi(a+b) - phi(b-a))/(2a) - (phi(a+b) + phi(b-a))/(2b) ]
-        - [ phi(b)/b - phi(a)/a ]  >=  0.
-
-    Exact rational arithmetic whenever p is an integer and a, b and the
-    conditioning law are rational.  rho0 = 0 is rejected: the zero-mass
-    factor disappears from the criterion there, see the limit form.
-    """
-    rho0 = Fraction(rho0) if not isinstance(rho0, float) else rho0
-    if isinstance(rho0, float):
-        if not (0.0 < rho0 <= 1.0):
-            raise ValueError("rho0 must lie in (0, 1]; the rho0 = 0 case needs the limit form")
-    elif not (0 < rho0 <= 1):
-        raise ValueError("rho0 must lie in (0, 1]; the rho0 = 0 case needs the limit form")
-    exact = (isinstance(p, int) or (isinstance(p, Rational) and p.denominator == 1)) \
-        and not isinstance(a, float) and not isinstance(b, float) \
-        and not isinstance(rho0, float) and w_law.is_rational
-    if exact:
-        q = int(p) - 1
-        a = Fraction(a)
-        b = Fraction(b)
-        pf = Fraction(int(p))
-    else:
-        q = float(p) - 1.0
-        a = float(a)
-        b = float(b)
-        pf = float(p)
-    if not (q >= 2):
-        raise ValueError(f"p must satisfy p >= 3, got {p!r}")
-    if not (0 < a <= b):
-        raise ValueError(f"need 0 < a <= b, got a = {a!r}, b = {b!r}")
-
-    atoms = list(zip(w_law.values, w_law.masses))
-
-    def phi(x):
-        # E F'(x + W) over the full signed support of W
-        acc = 0
-        for w, m in atoms:
-            if not exact:
-                w = float(w)
-                m = float(m)
-            acc = acc + m * _signed_pow(x + w, q)
-        return pf * acc
-
-    bracket = (phi(a + b) - phi(b - a)) / (2 * a) - (phi(a + b) + phi(b - a)) / (2 * b)
-    margin = (1 / rho0 - 1) * bracket - (phi(b) / b - phi(a) / a)
-    return VerdictReport(
-        claim="two-point-derivative-criterion",
-        params={"a": a, "b": b, "rho0": rho0, "p": p, "exact": exact},
-        passed=margin >= (0 if exact else -1e-12),
-        margin=float(margin),
-        witness={"bracket": bracket, "margin_exact": margin if exact else None},
-    )
-
-
 def verify_gaussian_comparison(weights: Sequence, laws: Sequence[SymmetricAtomLaw],
                                p: float) -> VerdictReport:
     """Check ||sum a_j X_j||_p <= ||G||_p ||sum a_j X_j||_2 for independent
     symmetric block laws with no mass at zero and p >= 3.
 
     The 2-norm, and at even p on rational input the p-norm too, come from
-    the summands' moments, with no convolution."""
+    the summands' moments, with no convolution.  A sum that is identically
+    0 meets the bound with equality: margin 0."""
     if not (p >= 3):
         raise ValueError(f"p must satisfy p >= 3, got {p!r}")
     if len(weights) != len(laws):
@@ -471,7 +399,8 @@ def verify_gaussian_comparison(weights: Sequence, laws: Sequence[SymmetricAtomLa
     n_2 = math.sqrt(float(sum_even_moment(laws, weights, 2)))
     c_p = gaussian_norm(p)
     bound = c_p * n_2
-    margin = (bound - n_p) / max(bound, n_p)
+    scale = max(bound, n_p)
+    margin = (bound - n_p) / scale if scale > 0 else 0.0
     return VerdictReport(
         claim="gaussian-moment-comparison",
         params={"p": p, "n": len(weights), "moment_method": mp.method.value},

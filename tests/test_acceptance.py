@@ -19,23 +19,18 @@ from khinchin_lab.exactprob import (
     make_step_law,
 )
 from khinchin_lab.haagerup import (
+    charfn_power_integral,
     first_abs_moment_integral,
-    haagerup_function,
     l1_l2_verdict,
     solve_critical_exponent,
     two_weight_threshold,
 )
 from khinchin_lab.lemmas import (
-    Cone,
     SLOPE_LOWER_BOUNDS,
     TANGENT_LOWER_BOUNDS,
-    check_cone_membership,
     endpoint_gap,
     endpoint_gap_slope,
-    signed_power_chord,
-    signed_power_sum,
     slope_table,
-    sqrt_power_pair,
     tangent_values,
     verify_two_point,
 )
@@ -48,8 +43,17 @@ from khinchin_lab.schur import (
     ostrowski_check,
     verify_gaussian_comparison,
 )
+from lemma_checks import (
+    Cone,
+    check_cone_membership,
+    signed_power_chord,
+    signed_power_sum,
+    slope_value,
+    sqrt_power_pair,
+)
 
 SEED = 1729
+COIN = make_step_law(StepLawParams(Fraction(0), 1))
 
 
 def _line(capsys, ok: bool, msg: str) -> None:
@@ -63,8 +67,8 @@ def test_criterion_01_slope_table(capsys):
     table = slope_table()
     elapsed = time.perf_counter() - t0
     bad = [(L, b) for L, b, th in table.entries if th - SLOPE_LOWER_BOUNDS[(L, b)] < 0]
-    spot = (table.value(3, 1) >= 0.02 and table.value(5, 2) >= 0.05
-            and table.value(6, 4) >= 0.02)
+    spot = (slope_value(table, 3, 1) >= 0.02 and slope_value(table, 5, 2) >= 0.05
+            and slope_value(table, 6, 4) >= 0.02)
     ok = not bad and spot and elapsed < 5.0
     _line(capsys, ok,
           f"criterion 1: all 10 breakpoint slopes exceed their printed bounds "
@@ -88,9 +92,9 @@ def test_criterion_03_endpoint_checkpoints(capsys):
 
 
 def test_criterion_04_haagerup_function(capsys):
-    at2 = haagerup_function(2.0).value
+    at2 = charfn_power_integral(COIN, 2.0).value
     grid = np.linspace(1.0, 20.0, 20)
-    vals = [haagerup_function(float(s)).value for s in grid]
+    vals = [charfn_power_integral(COIN, float(s)).value for s in grid]
     monotone = all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     ok = abs(at2 - 1 / math.sqrt(2)) <= 1e-6 and monotone
     _line(capsys, ok,

@@ -211,6 +211,17 @@ def test_verify_comparison_needs_no_zero_mass(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("weights", ["0", "0,0", "0.0,0.0"])
+def test_verify_comparison_of_a_zero_sum_holds_with_equality(capsys, weights):
+    # S = 0 gives both norms 0: the bound holds with equality, margin 0
+    code, out, err = run_cli(capsys, "verify", "--claim", "comparison", "--rho0", "0",
+                             "--weights", weights)
+    assert (code, err) == (0, ""), err
+    obj = json.loads(out)
+    assert obj["pass"] is True and obj["margin"] == 0.0
+    assert obj["witness"]["norm_p"] == obj["witness"]["norm_2"] == 0.0
+
+
 def test_verify_comparison_past_the_support_guard_splits_the_sum(capsys):
     # the whole sum's last convolution step would hold 8^8 entries; E S^4
     # comes from the summands, and E|S|^3 from halves of 8^4 and 8^5 atoms
@@ -297,6 +308,31 @@ def test_haagerup_witness_shows_unconverged_integral(capsys):
     assert code == 1, err
     assert obj["pass"] is False
     assert obj["witness"]["converged"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("haagerup", "--weights", "1,1/3", "--tol", "1e-300"),
+    ("verify", "--claim", "concavity", "--L", "1", "--tol", "1e-300", "--budget", "1000"),
+    ("verify", "--claim", "power-floor", "--rho0", "1/2", "--L", "1", "--tol", "1e-300",
+     "--budget", "1000"),
+])
+def test_unconverged_reports_have_negative_margins(capsys, argv):
+    # no tol of 1e-300 is met, so each report fails on convergence alone; its
+    # margin is then at most minus the largest error of its integrals (the
+    # budget only keeps the Gauss-Kronrod routes short: the same verdicts
+    # run 10^7 evaluations an integral without it)
+    code, out, err = run_cli(capsys, *argv)
+    obj = json.loads(out)
+    assert code == 1 and obj["claim"] in err
+    assert obj["pass"] is False
+    witness = obj["witness"]
+    if "rows" in witness:
+        assert not all(row["converged"] for row in witness["rows"])
+        worst = max(row["abs_error"] for row in witness["rows"] if not row["converged"])
+    else:
+        assert witness["converged"] is False
+        worst = witness["integral_err"]
+    assert obj["margin"] <= -worst < 0
 
 
 def test_haagerup_wide_weights_past_seed_cap(capsys):

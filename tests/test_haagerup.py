@@ -21,12 +21,10 @@ from khinchin_lab.exactprob import (
 )
 from khinchin_lab.haagerup import (
     CharFn,
-    charfn,
     charfn_power_integral,
     charfn_power_integrals,
     concavity_in_zero_mass,
     first_abs_moment_integral,
-    haagerup_function,
     l1_l2_verdict,
     power_charfn_period,
     product_charfn_period_degree,
@@ -35,6 +33,7 @@ from khinchin_lab.haagerup import (
     verify_charfn_power_floor,
 )
 from khinchin_lab.schur import _infer_step_params
+from lemma_checks import charfn_lower_bound
 
 COIN = make_step_law(StepLawParams(Fraction(0), 1))
 HALF = make_step_law(StepLawParams(Fraction(1, 2), 1))
@@ -43,30 +42,30 @@ HALF = make_step_law(StepLawParams(Fraction(1, 2), 1))
 # ---------------------------------------------------------------- charfn
 
 def test_charfn_values():
-    assert charfn(COIN, 0.0) == pytest.approx(1.0)
+    assert CharFn.from_law(COIN)(0.0) == pytest.approx(1.0)
     for t in (0.3, 1.7, 4.0):
-        assert charfn(COIN, t) == pytest.approx(math.cos(t), rel=1e-12)
-        assert charfn(HALF, t) == pytest.approx(0.5 + 0.5 * math.cos(t), rel=1e-12)
-    assert charfn(HALF, math.pi) == pytest.approx(0.0, abs=1e-15)
+        assert CharFn.from_law(COIN)(t) == pytest.approx(math.cos(t), rel=1e-12)
+        assert CharFn.from_law(HALF)(t) == pytest.approx(0.5 + 0.5 * math.cos(t), rel=1e-12)
+    assert CharFn.from_law(HALF)(math.pi) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_charfn_from_law_filters_sign():
     cf = CharFn.from_law(make_step_law(StepLawParams(Fraction(1, 2), 3)))
     assert list(cf.frequencies) == [1.0, 2.0, 3.0]
     assert cf.zero_mass == pytest.approx(0.5)
-    assert cf.lower_bound == pytest.approx(0.0)
+    assert charfn_lower_bound(cf) == pytest.approx(0.0)
 
 
 @given(rho_num=st.integers(5, 9), t=st.floats(0.0, 50.0))
 def test_charfn_floor_above_half(rho_num, t):
     law = make_step_law(StepLawParams(Fraction(rho_num, 10), 2))
     lb = 2 * rho_num / 10 - 1
-    assert charfn(law, t) >= lb - 1e-12
+    assert CharFn.from_law(law)(t) >= lb - 1e-12
 
 
 def test_charfn_vectorized():
     ts = np.linspace(0.0, 6.0, 11)
-    vals = charfn(COIN, ts)
+    vals = CharFn.from_law(COIN)(ts)
     assert np.allclose(vals, np.cos(ts), atol=1e-14)
 
 
@@ -473,23 +472,23 @@ def test_charfn_power_integral_needs_rational_support():
 
 def test_haagerup_function_analytic_points():
     # closed forms via the Fourier series of |cos|: F(1) = 2/pi, F(4) = 3/4
-    assert haagerup_function(1.0).value == pytest.approx(2 / math.pi, abs=1e-8)
-    assert haagerup_function(2.0).value == pytest.approx(1 / math.sqrt(2), abs=1e-8)
-    assert haagerup_function(4.0).value == pytest.approx(0.75, abs=1e-8)
-    res = haagerup_function(2.0, tol=1e-12)
+    assert charfn_power_integral(COIN, 1.0).value == pytest.approx(2 / math.pi, abs=1e-8)
+    assert charfn_power_integral(COIN, 2.0).value == pytest.approx(1 / math.sqrt(2), abs=1e-8)
+    assert charfn_power_integral(COIN, 4.0).value == pytest.approx(0.75, abs=1e-8)
+    res = charfn_power_integral(COIN, 2.0, tol=1e-12)
     assert res.converged
     assert abs(res.value - 1 / math.sqrt(2)) <= res.abs_error
 
 
 def test_haagerup_function_frozen_values():
-    assert haagerup_function(3.0).value == pytest.approx(0.735105193879, abs=1e-8)
-    assert haagerup_function(5.0).value == pytest.approx(0.759213379645, abs=1e-8)
-    assert haagerup_function(20.0).value == pytest.approx(0.7879771714, abs=1e-7)
+    assert charfn_power_integral(COIN, 3.0).value == pytest.approx(0.735105193879, abs=1e-8)
+    assert charfn_power_integral(COIN, 5.0).value == pytest.approx(0.759213379645, abs=1e-8)
+    assert charfn_power_integral(COIN, 20.0).value == pytest.approx(0.7879771714, abs=1e-7)
 
 
 def test_haagerup_function_monotone_below_gaussian():
     grid = [1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0]
-    vals = [haagerup_function(s).value for s in grid]
+    vals = [charfn_power_integral(COIN, s).value for s in grid]
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
     assert all(v < math.sqrt(2 / math.pi) for v in vals)
 

@@ -9,28 +9,31 @@ from hypothesis import strategies as st
 
 import oracles
 from khinchin_lab.lemmas import (
-    Cone,
     SLOPE_LOWER_BOUNDS,
     TANGENT_LOWER_BOUNDS,
-    check_cone_membership,
     endpoint_argument,
     endpoint_gap,
     endpoint_gap_slope,
     plus_part_gap,
     plus_part_gap_grid,
+    slope_at_breakpoint,
+    slope_table,
+    tangent_csv,
+    tangent_values,
+    two_point_gap,
+    verify_two_point,
+)
+from lemma_checks import (
+    Cone,
+    check_cone_membership,
     plus_part_gap_slope,
     signed_power_chord,
     signed_power_sum,
-    slope_at_breakpoint,
-    slope_table,
+    slope_value,
     sqrt_power_pair,
-    tangent_csv,
-    tangent_values,
     two_point_best_constant,
-    two_point_gap,
     two_point_nodes,
     two_point_witness_ratio,
-    verify_two_point,
 )
 
 unit_fracs = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
@@ -216,8 +219,8 @@ def test_slope_table_exceeds_bounds():
     assert ok
     assert worst > 0.003  # slack of the tightest cell
     # sentinel regression pins
-    assert table.value(3, 1) == pytest.approx(0.023237823103, abs=1e-11)
-    assert table.value(6, 4) == pytest.approx(0.0289623944976, abs=1e-11)
+    assert slope_value(table, 3, 1) == pytest.approx(0.023237823103, abs=1e-11)
+    assert slope_value(table, 6, 4) == pytest.approx(0.0289623944976, abs=1e-11)
 
 
 def test_slope_table_csv_shape():

@@ -15,12 +15,24 @@ from khinchin_lab.quadrature import (
     _KRONROD_X,
     _gk15,
     _integrate_family,
+    QuadratureResult,
+    convergence_margin,
     integrate_adaptive,
     integrate_khinchin_tail,
     integrate_periodic_tails,
 )
 
 EPS = np.finfo(float).eps
+
+
+def test_convergence_margin_is_negative_unless_every_result_converged():
+    done, open_ = QuadratureResult(1.0, 1e-3, 15), QuadratureResult(1.0, 2e-3, 15, False)
+    assert convergence_margin(0.5, [done, done]) == 0.5
+    assert convergence_margin(-0.5, [done]) == -0.5
+    assert convergence_margin(0.5, [done, open_]) == -2e-3
+    assert convergence_margin(-0.5, [open_]) == -0.5
+    assert convergence_margin(math.nan, [open_]) == -2e-3
+    assert convergence_margin(0.5, [QuadratureResult(1.0, 0.0, 15, False)]) < 0
 
 
 def test_polynomial_exact():

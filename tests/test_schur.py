@@ -31,9 +31,9 @@ from khinchin_lab.schur import (
     ostrowski_check,
     schur_objective,
     schur_zero_mass_threshold,
-    two_point_schur_check,
     verify_gaussian_comparison,
 )
+from lemma_checks import two_point_schur_check
 from khinchin_lab.schur import _draw_numerators, _draw_pair, _schur_objectives
 
 COIN = make_symmetric_three_point(0)
